@@ -154,7 +154,8 @@ void RunRecoveryPoint(uint64_t records, bool with_checkpoint) {
       return;
     }
     for (uint64_t i = 0; i < records; ++i) {
-      const std::string key = "k" + std::to_string(i);
+      std::string key = "k";
+      key += std::to_string(i);
       image[key] = value;
       manager.AppendSet(key, value);
     }

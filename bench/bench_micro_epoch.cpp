@@ -156,6 +156,7 @@ void BM_SetEvict_InlineReuseBaseline(benchmark::State& state) {
           .ok();
     }
     index.Insert(CuckooHashTable::HashKey(key), *object, nullptr).ok();
+    SlabAllocator::Publish(*object);
   }
 }
 
@@ -186,6 +187,7 @@ void BM_SetEvict_EpochQuarantine(benchmark::State& state) {
       }
       if (object.ok()) {
         index.Insert(CuckooHashTable::HashKey(key), *object, nullptr).ok();
+        SlabAllocator::Publish(*object);
         break;
       }
       epoch.TryReclaim();

@@ -156,6 +156,9 @@ class LivePipeline {
     uint64_t sets = 0;
     double wall_seconds = 0.0;
     double mops = 0.0;  // queries / wall time
+    // QueryBatch objects this run had to allocate.  Retired and shed
+    // batches are reused, so this stays at the number of batches in flight.
+    uint64_t batches_allocated = 0;
     DegradationStats degradation;
   };
 
@@ -257,6 +260,12 @@ class LivePipeline {
   // SD + retire + stats accounting shared by the last stage thread and the
   // ingress thread's inline (single-stage / degraded) paths.
   void RetireAndCount(QueryBatch* batch, bool degraded_inline);
+  // The batch free list.  The ingress thread takes a cleared batch (or
+  // allocates one while nothing has retired yet); whoever retires or sheds
+  // a batch hands it back, once per batch.
+  std::unique_ptr<QueryBatch> AcquireBatch() DIDO_EXCLUDES(pool_mu_);
+  void RecycleBatch(std::unique_ptr<QueryBatch> batch)
+      DIDO_EXCLUDES(pool_mu_);
 
   KvRuntime* const runtime_;
   const PipelineConfig config_;
@@ -286,6 +295,12 @@ class LivePipeline {
   std::vector<std::thread> threads_ DIDO_GUARDED_BY(lifecycle_mu_);
   // dido-analyze: allow(lock): ingress thread only
   uint64_t sequence_ = 0;
+
+  // Batches waiting for reuse.  Bounded by the batches a run keeps in
+  // flight (one per stage plus the queued ones); kept across runs.
+  Mutex pool_mu_;
+  std::vector<std::unique_ptr<QueryBatch>> free_batches_
+      DIDO_GUARDED_BY(pool_mu_);
 
   // Guards stats_, responses_ and start_time_ (written on Start, by the
   // retiring stage thread, and read by Collect from any thread).

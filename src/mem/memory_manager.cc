@@ -41,7 +41,7 @@ Result<KvObject*> MemoryManager::AllocateObject(
     }
     if (!result.ok() &&
         result.status().code() == StatusCode::kOutOfMemory) {
-      // Nothing reclaimable: detach the LRU victim for the caller to
+      // Nothing reclaimable: detach the CLOCK victim for the caller to
       // unlink and retire; this allocation stays unsatisfied until the
       // quarantine drains.
       result = allocator_.Allocate(key, value, version, &victim,
@@ -79,8 +79,6 @@ void MemoryManager::FreeObject(KvObject* object) {
   // relaxed: monotonic statistic, orders nothing.
   frees_.fetch_add(1, std::memory_order_relaxed);
 }
-
-void MemoryManager::TouchObject(KvObject* object) { allocator_.Touch(object); }
 
 void MemoryManager::RetireObject(KvObject* object) {
   if (epoch_ == nullptr) {

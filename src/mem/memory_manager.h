@@ -84,10 +84,12 @@ class MemoryManager {
     failed_allocations_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // GET path: LRU bump.  Epoch contract: the object is a probe result that
-  // a concurrent eviction may detach, so the caller's pin must span the
-  // call.
-  void TouchObject(KvObject* object) DIDO_REQUIRES_EPOCH;
+  // GET path: sets the CLOCK reference bit, lock-free.  Epoch contract: the
+  // object is a probe result that a concurrent eviction may detach and
+  // retire, so the caller's pin must span the call.
+  void TouchObject(KvObject* object) DIDO_REQUIRES_EPOCH {
+    SlabAllocator::Touch(object);
+  }
 
   SlabAllocator& allocator() { return allocator_; }
 

@@ -19,6 +19,7 @@ SlabAllocator::SlabAllocator(const Options& options) : options_(options) {
   while (chunk <= options_.page_bytes) {
     SlabClass cls;
     cls.chunk_bytes = chunk;
+    cls.chunks_per_page = options_.page_bytes / chunk;
     classes_.push_back(std::move(cls));
     const size_t next = static_cast<size_t>(
         static_cast<double>(chunk) * options_.growth_factor);
@@ -45,36 +46,40 @@ bool SlabAllocator::GrowClassLocked(SlabClass& cls) {
   if (arena_offset_ + options_.page_bytes > options_.arena_bytes) return false;
   uint8_t* page = arena_.get() + arena_offset_;
   arena_offset_ += options_.page_bytes;
-  const size_t chunks = options_.page_bytes / cls.chunk_bytes;
-  cls.free_chunks.reserve(cls.free_chunks.size() + chunks);
-  for (size_t i = 0; i < chunks; ++i) {
-    cls.free_chunks.push_back(page + i * cls.chunk_bytes);
+  // Pushed highest address first: the free list pops from the back, so the
+  // page's chunks are handed out in address order (the order the hand
+  // later sweeps them in).
+  cls.free_chunks.reserve(cls.free_chunks.size() + cls.chunks_per_page);
+  for (size_t i = cls.chunks_per_page; i > 0; --i) {
+    cls.free_chunks.push_back(page + (i - 1) * cls.chunk_bytes);
   }
-  cls.pages += 1;
+  cls.pages.push_back(page);
   return true;
 }
 
-void SlabAllocator::LruUnlink(SlabClass& cls, KvObject* object) {
-  if (object->lru_prev != nullptr) {
-    object->lru_prev->lru_next = object->lru_next;
-  } else {
-    cls.lru_head = object->lru_next;
+KvObject* SlabAllocator::ClockVictimLocked(SlabClass& cls) {
+  // The hand only runs when the class has no free chunk, so every chunk of
+  // its pages holds an object constructed by Allocate.  Two sweeps suffice:
+  // the first clears every reference bit it passes.
+  const size_t chunks = cls.pages.size() * cls.chunks_per_page;
+  for (size_t step = 0; step < 2 * chunks; ++step) {
+    if (cls.hand >= chunks) cls.hand = 0;
+    const size_t i = cls.hand++;
+    auto* object = reinterpret_cast<KvObject*>(
+        cls.pages[i / cls.chunks_per_page] +
+        (i % cls.chunks_per_page) * cls.chunk_bytes);
+    if ((object->flags & KvObject::kFlagDetached) != 0) continue;
+    // acquire: pairs with Publish's release store (see Publish).
+    const uint8_t state = object->clock.load(std::memory_order_acquire);
+    if (state == KvObject::kClockReferenced) {
+      // relaxed: a Touch racing this store loses one hit (see Touch).
+      object->clock.store(KvObject::kClockClear, std::memory_order_relaxed);
+      continue;
+    }
+    if (state == KvObject::kClockClear) return object;
+    // kClockUnpublished or kClockFree: not evictable.
   }
-  if (object->lru_next != nullptr) {
-    object->lru_next->lru_prev = object->lru_prev;
-  } else {
-    cls.lru_tail = object->lru_prev;
-  }
-  object->lru_prev = nullptr;
-  object->lru_next = nullptr;
-}
-
-void SlabAllocator::LruPushFront(SlabClass& cls, KvObject* object) {
-  object->lru_prev = nullptr;
-  object->lru_next = cls.lru_head;
-  if (cls.lru_head != nullptr) cls.lru_head->lru_prev = object;
-  cls.lru_head = object;
-  if (cls.lru_tail == nullptr) cls.lru_tail = object;
+  return nullptr;
 }
 
 Result<KvObject*> SlabAllocator::Allocate(std::string_view key,
@@ -95,9 +100,9 @@ Result<KvObject*> SlabAllocator::Allocate(std::string_view key,
     if (mode == EvictionMode::kFail) {
       return Status::OutOfMemory("class full; caller may reclaim and retry");
     }
-    // Arena exhausted: evict the LRU object of this class (memcached
+    // Arena exhausted: evict the CLOCK victim of this class (memcached
     // semantics; this is what turns a SET into Insert+Delete index ops).
-    KvObject* victim = cls.lru_tail;
+    KvObject* victim = ClockVictimLocked(cls);
     if (victim == nullptr) {
       return Status::OutOfMemory("class has no evictable object");
     }
@@ -105,7 +110,6 @@ Result<KvObject*> SlabAllocator::Allocate(std::string_view key,
       evicted->key.assign(victim->Key().data(), victim->Key().size());
       evicted->stale_ptr = victim;
     }
-    LruUnlink(cls, victim);
     cls.live_objects -= 1;
     cls.evictions += 1;
     if (mode == EvictionMode::kDetach) {
@@ -119,7 +123,8 @@ Result<KvObject*> SlabAllocator::Allocate(std::string_view key,
       cls.detached += 1;
       return Status::OutOfMemory("eviction victim quarantined");
     }
-    victim->~KvObject();
+    // KvObject is trivially destructible: the placement new below starts
+    // the new object's lifetime in the victim's chunk.
     cls.free_chunks.push_back(reinterpret_cast<uint8_t*>(victim));
   }
 
@@ -133,7 +138,6 @@ Result<KvObject*> SlabAllocator::Allocate(std::string_view key,
   object->slab_class = static_cast<uint8_t>(class_index);
   std::memcpy(object->KeyData(), key.data(), key.size());
   std::memcpy(object->ValueData(), value.data(), value.size());
-  LruPushFront(cls, object);
   cls.live_objects += 1;
   return object;
 }
@@ -147,28 +151,13 @@ void SlabAllocator::Free(KvObject* object) {
   DIDO_CHECK_EQ(object->flags & KvObject::kFlagDetached, 0)
       << "Free on a detached object; use ReleaseDetached";
   SlabClass& cls = classes_[object->slab_class];
-  LruUnlink(cls, object);
   cls.live_objects -= 1;
-  object->~KvObject();
+  // relaxed: read only by the hand, which runs under mu_ as well.
+  object->clock.store(KvObject::kClockFree, std::memory_order_relaxed);
   // dido-analyze: allow(hot): free-list push re-uses the chunk's own
   // storage capacity in steady state (pop/push pairs); see the legacy-mode
   // caveat on the lock above.
   cls.free_chunks.push_back(reinterpret_cast<uint8_t*>(object));
-}
-
-void SlabAllocator::Touch(KvObject* object) {
-  // dido-analyze: allow(hot): every KC hit bumps the LRU chain under the
-  // allocator-wide mutex — the known scalability cost of the paper's
-  // strict-LRU eviction (DESIGN.md section 7).  An O(1) lock-free
-  // approximation (CLOCK/sampled LRU) is the fix, tracked with ROADMAP
-  // item 3, and this annotation is the measured evidence for it.
-  MutexLock lock(mu_);
-  // A detached object is out of the LRU list; unlinking it again would
-  // corrupt the list heads (a GET can race the eviction of its own hit).
-  if ((object->flags & KvObject::kFlagDetached) != 0) return;
-  SlabClass& cls = classes_[object->slab_class];
-  LruUnlink(cls, object);
-  LruPushFront(cls, object);
 }
 
 bool SlabAllocator::TryDetach(KvObject* object) {
@@ -178,7 +167,6 @@ bool SlabAllocator::TryDetach(KvObject* object) {
   MutexLock lock(mu_);
   if ((object->flags & KvObject::kFlagDetached) != 0) return false;
   SlabClass& cls = classes_[object->slab_class];
-  LruUnlink(cls, object);
   cls.live_objects -= 1;
   cls.detached += 1;
   object->flags |= KvObject::kFlagDetached;
@@ -191,7 +179,8 @@ void SlabAllocator::ReleaseDetached(KvObject* object) {
       << "ReleaseDetached on an object that was never detached";
   SlabClass& cls = classes_[object->slab_class];
   cls.detached -= 1;
-  object->~KvObject();
+  // relaxed: read only by the hand, which runs under mu_ as well.
+  object->clock.store(KvObject::kClockFree, std::memory_order_relaxed);
   cls.free_chunks.push_back(reinterpret_cast<uint8_t*>(object));
 }
 
@@ -203,7 +192,7 @@ SlabAllocator::Stats SlabAllocator::GetStats() const {
   for (const SlabClass& cls : classes_) {
     ClassStats cs;
     cs.chunk_bytes = cls.chunk_bytes;
-    cs.pages = cls.pages;
+    cs.pages = cls.pages.size();
     cs.live_objects = cls.live_objects;
     cs.free_chunks = cls.free_chunks.size();
     cs.evictions = cls.evictions;

@@ -13,14 +13,17 @@
 
 namespace dido {
 
-// memcached-style slab allocator with per-class LRU eviction.
+// memcached-style slab allocator with per-class CLOCK eviction.
 //
 // A fixed arena is carved into pages; pages are assigned on demand to size
-// classes growing by a constant factor.  Each class maintains a free list
-// and an intrusive LRU list of live objects.  When the arena is exhausted
-// and the class has no free chunk, the least recently used object of that
-// class is evicted — producing exactly the Insert+Delete index-operation
-// pair per SET that the paper's Figure 6 analysis builds on.
+// classes growing by a constant factor.  Each class keeps a free list, the
+// list of its pages and a CLOCK hand (MemC3's approximate LRU).  A GET hit
+// sets the object's reference bit with one relaxed store and no lock.  When
+// the arena is exhausted and the class has no free chunk, the hand walks
+// the class's chunks in address order: it clears set reference bits and
+// evicts the first published object whose bit is already clear — producing
+// exactly the Insert+Delete index-operation pair per SET that the paper's
+// Figure 6 analysis builds on.
 class SlabAllocator {
  public:
   struct Options {
@@ -71,21 +74,22 @@ class SlabAllocator {
     // same call.  Only safe when no concurrent reader can still hold the
     // victim as an index candidate (single-threaded tests, benchmarks).
     kReuseInline,
-    // Unlink the victim from the LRU list, mark it kFlagDetached, and
+    // Take the victim out of eviction, mark it kFlagDetached, and
     // leave its storage intact: the caller owns reclamation (drop the
     // stale index entry, then EpochManager::Retire -> ReleaseDetached).
     // The allocation itself fails with kOutOfMemory — the chunk only
     // becomes reusable once the epoch manager drains it.
     kDetach,
-    // Evict nothing: fail with kOutOfMemory and leave the LRU list
+    // Evict nothing: fail with kOutOfMemory and leave the CLOCK state
     // untouched.  Lets the caller drain quarantined chunks (which came
     // from earlier evictions or replacements) before sacrificing a live
     // object — see MemoryManager::AllocateObject's drain-first policy.
     kFail,
   };
 
-  // Allocates and initializes an object for (key, value).  If the arena is
-  // full, evicts the LRU object of the matching class per `mode`, filling
+  // Allocates and initializes an object for (key, value).  The object
+  // starts unpublished: no eviction picks it until Publish().  If the arena
+  // is full, the class's CLOCK hand picks a victim per `mode`, filling
   // `evicted` (required non-null for kDetach, optional otherwise) so the
   // caller can issue the corresponding index Delete.  Fails with
   // kOutOfMemory if the class has no evictable object, or — in kDetach
@@ -95,16 +99,35 @@ class SlabAllocator {
                              EvictionMode mode = EvictionMode::kReuseInline)
       DIDO_TRANSFERS_OWNERSHIP;
 
-  // Returns the object's chunk to its class free list and unlinks it from
-  // the LRU list.  The pointer must come from Allocate and must not be
-  // detached.
+  // Returns the object's chunk to its class free list.  The pointer must
+  // come from Allocate and must not be detached.
   void Free(KvObject* object);
 
-  // Moves the object to the MRU end of its class LRU list (GET path).
-  // No-op on a detached object, which is no longer in any LRU list.
-  void Touch(KvObject* object);
+  // Makes an allocated object evictable.  Call once the object is
+  // reachable through the index (after its Insert), so an eviction always
+  // has an index entry to unlink.  Lock-free; the release store pairs with
+  // the hand's acquire load, so a hand that sees the object published also
+  // sees the Insert that preceded it.
+  static void Publish(KvObject* object) {
+    object->clock.store(KvObject::kClockClear, std::memory_order_release);
+  }
 
-  // Unlinks a live object from its LRU list and marks it detached without
+  // Sets the object's reference bit (GET path).  Lock-free: a relaxed load,
+  // plus a relaxed store only when the bit is clear, so hits on a hot
+  // object do not keep writing its cache line.  Leaves unpublished objects
+  // alone; a detached object's bit is never read again.
+  static void Touch(KvObject* object) {
+    // relaxed: the reference bit is an eviction hint ordering no other
+    // data; a hit lost to a concurrent hand sweep only makes the object a
+    // candidate one sweep earlier.
+    if (object->clock.load(std::memory_order_relaxed) ==
+        KvObject::kClockClear) {
+      object->clock.store(KvObject::kClockReferenced,
+                          std::memory_order_relaxed);
+    }
+  }
+
+  // Takes a live object out of eviction and marks it detached without
   // releasing its storage.  Returns false when the object was already
   // detached (e.g. by a concurrent eviction) — the caller then must NOT
   // retire it, the earlier detacher owns that.
@@ -133,26 +156,27 @@ class SlabAllocator {
  private:
   struct SlabClass {
     size_t chunk_bytes = 0;
+    size_t chunks_per_page = 0;
     std::vector<uint8_t*> free_chunks;
-    KvObject* lru_head = nullptr;  // most recently used
-    KvObject* lru_tail = nullptr;  // least recently used
-    uint64_t pages = 0;
+    std::vector<uint8_t*> pages;  // in assignment order
+    size_t hand = 0;              // next chunk the CLOCK hand inspects
     uint64_t live_objects = 0;
     uint64_t evictions = 0;
     uint64_t detached = 0;
   };
 
-  // Assigns one fresh page to `cls`, splitting it into free chunks.
-  // Returns false when the arena is exhausted.
+  // Assigns one fresh page to `cls`, splitting it into free chunks that
+  // are handed out in ascending address order.  Returns false when the
+  // arena is exhausted.
   bool GrowClassLocked(SlabClass& cls) DIDO_REQUIRES(mu_);
+
+  // Advances the class's CLOCK hand to the next victim: a published,
+  // attached object whose reference bit is clear.  Clears the set bits it
+  // passes.  Returns nullptr after two full sweeps found nothing.
+  KvObject* ClockVictimLocked(SlabClass& cls) DIDO_REQUIRES(mu_);
 
   // ClassForSize's body, for callers already under the lock.
   int ClassForSizeLocked(size_t footprint) const DIDO_REQUIRES(mu_);
-
-  // Unlinks `object` from its class LRU list.
-  static void LruUnlink(SlabClass& cls, KvObject* object);
-  // Pushes `object` to the MRU end.
-  static void LruPushFront(SlabClass& cls, KvObject* object);
 
   const Options options_;
   // Arena storage: allocated once in the constructor; the pointer itself

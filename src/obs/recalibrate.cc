@@ -138,13 +138,15 @@ bool OnlineCalibrator::EndBatch() {
              static_cast<double>(cpu_.predicted.size()) +
          MeanAbsRelError(gpu_.predicted, gpu_.observed, 1.0) *
              static_cast<double>(gpu_.predicted.size())) /
-        std::max<size_t>(1, cpu_.predicted.size() + gpu_.predicted.size());
+        static_cast<double>(
+            std::max<size_t>(1, cpu_.predicted.size() + gpu_.predicted.size()));
     const double postfit =
         (MeanAbsRelError(cpu_.predicted, cpu_.observed, cpu_ratio) *
              static_cast<double>(cpu_.predicted.size()) +
          MeanAbsRelError(gpu_.predicted, gpu_.observed, gpu_ratio) *
              static_cast<double>(gpu_.predicted.size())) /
-        std::max<size_t>(1, cpu_.predicted.size() + gpu_.predicted.size());
+        static_cast<double>(
+            std::max<size_t>(1, cpu_.predicted.size() + gpu_.predicted.size()));
     if (prefit_error_gauge_ != nullptr) {
       prefit_error_gauge_->Set(prefit);
       postfit_error_gauge_->Set(postfit);

@@ -5,11 +5,11 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "index/cuckoo_hash_table.h"
 #include "mem/kv_object.h"
-#include "mem/slab_allocator.h"
 #include "net/codec.h"
 #include "net/sim_nic.h"
 #include "pipeline/pipeline_config.h"
@@ -19,6 +19,8 @@ namespace dido {
 
 // Per-query state threaded through the pipeline tasks.  Key/value views
 // alias the batch's input frames, which stay alive for the whole batch.
+// Trivially copyable, so PP appends records into reused capacity with no
+// per-record construction or destruction.
 struct QueryRecord {
   QueryOp op = QueryOp::kGet;
   std::string_view key;
@@ -29,14 +31,6 @@ struct QueryRecord {
   std::array<KvObject*, 4> candidates{};
   uint8_t num_candidates = 0;
 
-  // Victims this SET evicted (MM output).  Their stale index entries are
-  // removed and the objects retired to the epoch manager inline during MM
-  // (the allocation cannot proceed before the unlink), so these records
-  // are observability only — `stale_ptr` must never be dereferenced.
-  // Per-record rather than per-batch so concurrent executions of disjoint
-  // MM ranges of one batch never share a vector.
-  std::vector<SlabAllocator::EvictedObject> evictions;
-
   // KC output (GET) or MM output (SET).
   KvObject* object = nullptr;
   // Set once IN.I has replaced this SET key's old version in place.
@@ -46,8 +40,15 @@ struct QueryRecord {
   uint32_t staged_offset = 0;
   uint32_t staged_len = 0;
 
+  // Victims this SET evicted (MM output).  Their stale index entries are
+  // removed and the objects retired to the epoch manager inline during MM
+  // (the allocation cannot proceed before the unlink), so only the count
+  // is kept.
+  uint32_t evictions = 0;
+
   ResponseStatus status = ResponseStatus::kError;
 };
+static_assert(std::is_trivially_copyable_v<QueryRecord>);
 
 // Everything measured while actually executing a batch.  These counters are
 // the "measured workload characteristics" that parameterize the timing
@@ -79,6 +80,7 @@ struct BatchMeasurements {
   double sum_hit_value_bytes = 0.0;  // over GET-hit objects
   // Access-frequency counter values sampled by KC (every Nth GET hit),
   // feeding the profiler's Zipf-skew estimator (paper Section IV-B).
+  // QueryBatch::Clear keeps its capacity.
   std::vector<uint32_t> sampled_frequencies;
   // Average cuckoo buckets probed per operation in this batch.
   double search_probes = 0.0;
@@ -119,6 +121,11 @@ struct BatchObs {
 // configuration is embedded in the batch (paper Section III-B1: "we embed
 // the pipeline information into each batch"), so a configuration change
 // applies cleanly at a batch boundary.
+//
+// A batch is reusable: Clear() resets it but keeps every buffer's
+// capacity, and AppendFrame hands the frame buffers of earlier uses back
+// to RV and WR, so a recycled batch fills without heap allocation once its
+// buffers have reached their steady-state sizes.
 struct QueryBatch {
   uint64_t sequence = 0;
   PipelineConfig config;
@@ -155,7 +162,19 @@ struct QueryBatch {
   BatchObs obs;
 
   size_t size() const { return queries.size(); }
+
+  // Appends an empty frame to `list` (`frames` or `responses`) and returns
+  // it, reusing the payload buffer of a frame recycled by Clear() when one
+  // is left.
+  Frame& AppendFrame(std::vector<Frame>* list);
+
+  // Resets the batch for its next use (see the class comment).  Frames that
+  // a consumer moved out recycle as empty buffers.
   void Clear();
+
+ private:
+  // Frames of earlier uses, payloads emptied but capacity kept.
+  std::vector<Frame> spare_frames_;
 };
 
 }  // namespace dido

@@ -13,9 +13,14 @@ namespace dido {
 namespace {
 
 // Bound on the detach-retire-reclaim rounds one allocation may drive.
-// Each unproductive round yields, so the bound is only reached when pinned
-// readers starve reclamation for the whole window.
+// The first kYieldingAllocationAttempts unproductive rounds yield; later
+// ones sleep with exponential backoff capped at kMaxAllocationBackoff, so
+// the bound spans ~50 ms and is only reached when pinned readers starve
+// reclamation for that long.  64 bare yields last ~0.1 ms, less than the
+// time slice of a reader preempted while pinned.
 constexpr int kMaxAllocationAttempts = 64;
+constexpr int kYieldingAllocationAttempts = 8;
+constexpr std::chrono::microseconds kMaxAllocationBackoff(1000);
 
 // Bound on IN.I re-attempts when the cuckoo index reports transient
 // contention (kResourceBusy).  Capacity exhaustion (kCapacityFull) is
@@ -105,7 +110,15 @@ Result<KvObject*> KvRuntime::AllocateWithEviction(
     }
     // An eviction quarantines the victim's chunk instead of handing it to
     // this allocation; it only comes back through an epoch advance.
-    if (epoch_.TryReclaim() == 0) std::this_thread::yield();
+    if (epoch_.TryReclaim() > 0) continue;
+    if (attempt < kYieldingAllocationAttempts) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::min(
+          kMaxAllocationBackoff,
+          std::chrono::microseconds(
+              1 << std::min(attempt - kYieldingAllocationAttempts, 10))));
+    }
   }
   memory_->NoteAllocationFailure();
   return Status::OutOfMemory("quarantined evictions outpaced reclamation");
@@ -140,6 +153,7 @@ uint64_t KvRuntime::Preload(const DatasetSpec& dataset,
       memory_->RetireObject(*object);
       break;
     }
+    SlabAllocator::Publish(*object);
     if (replaced != nullptr) memory_->RetireObject(replaced);
     ++stored;
   }
@@ -176,10 +190,9 @@ Status KvRuntime::RunPacketProcessing(QueryBatch* batch) {
         m.sets += 1;
         m.sum_value_bytes += static_cast<double>(view.value.size());
       }
-      // dido-analyze: allow(hot): per-batch ingest buffer; growth is
-      // amortized O(1) and reaches steady-state capacity after the first
-      // batches.  The SoA record layout (ROADMAP item 3) preallocates
-      // this buffer and removes the growth path entirely.
+      // dido-analyze: allow(hot): per-batch ingest buffer; a recycled
+      // batch keeps its capacity (QueryBatch::Clear), so the push only
+      // grows the buffer during the first batches.
       batch->queries.push_back(record);
     }
   }
@@ -191,18 +204,24 @@ Status KvRuntime::RunPacketProcessing(QueryBatch* batch) {
 void KvRuntime::RunMemoryManagement(QueryBatch* batch, size_t begin,
                                     size_t end) {
   BatchMeasurements& m = batch->measurements;
+  // One scratch vector for the whole range: the victims' index entries are
+  // gone by the time AllocateWithEviction returns, only their count stays.
+  std::vector<SlabAllocator::EvictedObject> evicted;
   for (size_t i = begin; i < end && i < batch->queries.size(); ++i) {
     QueryRecord& record = batch->queries[i];
     if (record.op != QueryOp::kSet) continue;
+    evicted.clear();
     // relaxed: versions only need to be distinct, not ordered across keys.
     Result<KvObject*> object = AllocateWithEviction(
         record.key, record.value,
         version_counter_.fetch_add(1, std::memory_order_relaxed) + 1,
-        &record.evictions, &m.set_retries);
+        &evicted, &m.set_retries);
+    record.evictions = static_cast<uint32_t>(evicted.size());
     // Each eviction's paired index Delete already ran inline (the unlink
     // must precede the victim's retirement); count it where the paper's
     // Figure 6 analysis expects it.
-    m.deletes += record.evictions.size();
+    m.evictions += evicted.size();
+    m.deletes += evicted.size();
     if (!object.ok()) {
       // Retry budget exhausted inside AllocateWithEviction: the SET is
       // answered with an error response rather than dropped, and counted
@@ -262,14 +281,18 @@ void KvRuntime::RunIndexInsert(QueryBatch* batch, size_t begin, size_t end) {
       status = index_->Insert(record.hash, record.object, &replaced);
     }
     if (!status.ok()) {
-      // Never published, but it sat in the LRU list where a concurrent
-      // eviction may have detached it — RetireObject arbitrates.
+      // Never published, so no eviction can have picked it; RetireObject
+      // still arbitrates the detach like for any other object.
       memory_->RetireObject(record.object);
       record.object = nullptr;
       record.status = ResponseStatus::kError;
       m.failed_inserts += 1;
       continue;
     }
+    // Only now may the hand evict it: the eviction's index Remove has an
+    // entry to drop.  Published earlier, a victim taken between MM and
+    // this Insert would be retired while the Insert publishes its pointer.
+    SlabAllocator::Publish(record.object);
     m.inserts += 1;
     if (durability_ != nullptr) {
       // Log after the index apply so everything with lsn <= a checkpoint's
@@ -377,7 +400,9 @@ void KvRuntime::RunReadValue(QueryBatch* batch, size_t begin, size_t end) {
 
 void KvRuntime::RunWriteResponse(QueryBatch* batch, size_t begin, size_t end) {
   BatchMeasurements& m = batch->measurements;
-  Frame current;
+  // The open response frame.  Valid until the next AppendFrame, which only
+  // this loop calls on `responses`.
+  Frame* current = nullptr;
   for (size_t i = begin; i < end && i < batch->queries.size(); ++i) {
     QueryRecord& record = batch->queries[i];
     std::string_view value;
@@ -394,18 +419,12 @@ void KvRuntime::RunWriteResponse(QueryBatch* batch, size_t begin, size_t end) {
       }
     }
     const size_t needed = kRecordHeaderBytes + record.key.size() + value.size();
-    if (!current.payload.empty() &&
-        current.payload.size() + needed > kMaxFramePayload) {
-      // dido-analyze: allow(hot): the response-frame vector is WR's work
-      // product — one push per full frame, with payload buffers reaching
-      // steady-state capacity after the first batches.
-      batch->responses.push_back(std::move(current));
-      current = Frame();
+    if (current == nullptr ||
+        current->payload.size() + needed > kMaxFramePayload) {
+      current = &batch->AppendFrame(&batch->responses);
     }
-    EncodeResponse(record.op, status, record.key, value, &current.payload);
+    EncodeResponse(record.op, status, record.key, value, &current->payload);
   }
-  // dido-analyze: allow(hot): final partial frame of the batch (see above).
-  if (!current.payload.empty()) batch->responses.push_back(std::move(current));
 }
 
 void KvRuntime::RunRangeTask(TaskKind task, QueryBatch* batch, size_t begin,
@@ -446,11 +465,6 @@ void KvRuntime::RetireBatch(QueryBatch* batch) {
   // this is what keeps the quarantine draining in steady state.
   batch->epoch_pin.Release();
   epoch_.TryReclaim();
-  uint64_t evicted = 0;
-  for (const QueryRecord& record : batch->queries) {
-    evicted += record.evictions.size();
-  }
-  batch->measurements.evictions = evicted;
 
   // Per-batch probe averages from the cuckoo counter deltas, against the
   // snapshot PP stored in the batch.  With several batches in flight the
@@ -502,6 +516,7 @@ Status KvRuntime::Put(std::string_view key, std::string_view value) {
       memory_->RetireObject(*object);
       return status;
     }
+    SlabAllocator::Publish(*object);
     if (replaced != nullptr) memory_->RetireObject(replaced);
   }
   if (durability_ != nullptr) {

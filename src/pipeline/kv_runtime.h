@@ -126,7 +126,8 @@ class KvRuntime {
   // through the measurements.
   void RunIndexDelete(QueryBatch* batch, size_t begin, size_t end)
       DIDO_HOT DIDO_MUST_RESPOND;
-  // KC: verifies candidates by full-key comparison; bumps LRU + sampling.
+  // KC: verifies candidates by full-key comparison; sets the CLOCK
+  // reference bit and samples the access frequency.
   void RunKeyComparison(QueryBatch* batch, size_t begin, size_t end)
       DIDO_HOT DIDO_MUST_RESPOND;
   // RD: copies values into the staging buffer (only when RD and WR live in
@@ -155,7 +156,7 @@ class KvRuntime {
 
  private:
   // Allocates storage for (key, value), driving the quarantine cycle under
-  // memory pressure: each round detaches an LRU victim, drops its stale
+  // memory pressure: each round detaches a CLOCK victim, drops its stale
   // index entry, retires it to the epoch manager, attempts a reclaim, and
   // retries.  Bounded; on exhaustion returns kOutOfMemory (counted as a
   // failed allocation).  Victims are appended to `evictions` (required

@@ -91,7 +91,10 @@ Result<Trace> LoadTrace(const std::string& path) {
   }
 
   Trace trace;
-  trace.spec.dataset.name = "K" + std::to_string(header.key_size);
+  // Appended rather than `"K" + std::to_string(...)`, which trips GCC 12's
+  // -Wrestrict false positive under -O3 (fatal with DIDO_WERROR).
+  trace.spec.dataset.name = "K";
+  trace.spec.dataset.name += std::to_string(header.key_size);
   trace.spec.dataset.key_size = header.key_size;
   trace.spec.dataset.value_size = header.value_size;
   trace.spec.get_ratio = header.get_permille / 1000.0;

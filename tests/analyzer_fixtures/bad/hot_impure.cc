@@ -12,5 +12,6 @@ void RunHotKernel(int v) DIDO_HOT;
 void RunHotKernel(int v) {
   std::lock_guard<std::mutex> lock(g_mu);  // expect: [hot] mutex acquisition
   g_log.push_back(v);                      // expect: [hot] heap allocation
+  g_log_ptr->resize(v);                    // expect: [hot] (through ->)
   SpinBackoff();
 }

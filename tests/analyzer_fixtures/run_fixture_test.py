@@ -43,6 +43,7 @@ EXPECTED_BAD = [
     ("hot_impure.cc:6", "[hot]"),             # transitive blocking wait
     ("hot_impure.cc:13", "[hot]"),            # mutex acquisition in the root
     ("hot_impure.cc:14", "[hot]"),            # heap allocation in the root
+    ("hot_impure.cc:15", "[hot]"),            # the same through a pointer
     ("own_leak.cc:11", "[own]"),              # early return before any sink
     ("own_leak.cc:18", "[own]"),              # discarded owned result
     ("dur_log_leak.cc:12", "[own]"),          # leaked oplog record
@@ -50,7 +51,7 @@ EXPECTED_BAD = [
     ("dur_recovery_drop.cc:14", "[resp]"),    # unaccounted recovery exit
     ("memorder_bare.cc:9", "[memorder]"),     # unjustified relaxed downgrade
 ]
-EXPECTED_BAD_COUNT = 15
+EXPECTED_BAD_COUNT = 16
 
 
 def main():

@@ -178,8 +178,8 @@ TEST(SlabAllocatorStressTest, ConcurrentAllocateTouchFree) {
       std::vector<KvObject*> mine;
       for (int round = 0; round < kRounds; ++round) {
         for (int i = 0; i < kObjectsPerThread; ++i) {
-          const std::string key =
-              "t" + std::to_string(t) + "-" + std::to_string(i);
+          std::string key = "t";
+          key += std::to_string(t) + "-" + std::to_string(i);
           Result<KvObject*> object =
               allocator.Allocate(key, "value-payload", 1, nullptr);
           ASSERT_TRUE(object.ok());

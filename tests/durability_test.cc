@@ -114,8 +114,8 @@ TEST_F(DurabilityTest, GroupCommitReleasesConcurrentAppenders) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        const std::string key =
-            "k" + std::to_string(t) + "_" + std::to_string(i);
+        std::string key = "k";
+        key += std::to_string(t) + "_" + std::to_string(i);
         const uint64_t lsn = writer.Append(LogOp::kSet, key, "v");
         if (lsn == 0 ||
             !writer.WaitDurable(lsn, std::chrono::milliseconds(5000))) {

@@ -193,8 +193,10 @@ TEST(CuckooTest, LoadFactorHighBeforeFailure) {
   CuckooHashTable table(SmallTable(512));  // 4096 slots
   uint64_t inserted = 0;
   for (int i = 0; i < 5000; ++i) {
-    KvObject* object = pool.Make("k" + std::to_string(i));
-    if (!table.Insert(CuckooHashTable::HashKey("k" + std::to_string(i)),
+    std::string key = "k";
+    key += std::to_string(i);
+    KvObject* object = pool.Make(key);
+    if (!table.Insert(CuckooHashTable::HashKey(key),
                       object, nullptr)
              .ok()) {
       break;

@@ -35,33 +35,52 @@ std::string ValueFor(uint64_t index, uint32_t value_size, uint32_t version) {
   return value;
 }
 
-// Builds a batch from explicit queries and runs it through `config`'s task
-// order, exactly as the executor would.
-BatchMeasurements RunFullBatch(KvRuntime& runtime, const PipelineConfig& config,
-                               TrafficSource& source, size_t target_queries,
-                               QueryBatch* out = nullptr) {
-  QueryBatch batch;
-  batch.config = config;
+// Fills `batch` from `source` and runs it through `config`'s task order,
+// exactly as the executor would.
+void RunBatchInto(KvRuntime& runtime, const PipelineConfig& config,
+                  TrafficSource& source, size_t target_queries,
+                  QueryBatch* batch) {
+  batch->config = config;
   size_t queries = 0;
   while (queries < target_queries) {
-    Frame frame;
-    queries += source.FillFrame(&frame, nullptr);
-    batch.frames.push_back(std::move(frame));
+    queries += source.FillFrame(&batch->AppendFrame(&batch->frames), nullptr);
   }
-  EXPECT_TRUE(runtime.RunPacketProcessing(&batch).ok());
+  EXPECT_TRUE(runtime.RunPacketProcessing(batch).ok());
   for (const StageSpec& stage : config.Stages(4)) {
     for (TaskKind task : stage.tasks) {
       if (task == TaskKind::kRv || task == TaskKind::kPp ||
           task == TaskKind::kSd) {
         continue;
       }
-      runtime.RunRangeTask(task, &batch, 0, batch.size());
+      runtime.RunRangeTask(task, batch, 0, batch->size());
     }
   }
-  runtime.RetireBatch(&batch);
+  runtime.RetireBatch(batch);
+}
+
+// RunBatchInto on a fresh batch.
+BatchMeasurements RunFullBatch(KvRuntime& runtime, const PipelineConfig& config,
+                               TrafficSource& source, size_t target_queries,
+                               QueryBatch* out = nullptr) {
+  QueryBatch batch;
+  RunBatchInto(runtime, config, source, target_queries, &batch);
   BatchMeasurements m = batch.measurements;
   if (out != nullptr) *out = std::move(batch);
   return m;
+}
+
+// A one-SET batch that has run PP-equivalent setup only.
+void MakeSetBatch(const std::string& key, const std::string& value,
+                  QueryBatch* batch) {
+  batch->config = PipelineConfig::MegaKv();
+  QueryRecord record;
+  record.op = QueryOp::kSet;
+  record.key = key;
+  record.value = value;
+  record.hash = CuckooHashTable::HashKey(key);
+  batch->queries.push_back(record);
+  batch->measurements.num_queries = 1;
+  batch->measurements.sets = 1;
 }
 
 TEST(KvRuntimeTest, PreloadStoresRequestedObjects) {
@@ -377,6 +396,116 @@ TEST(KvRuntimeTest, AllocationGiveUpPathPropagatesError) {
   runtime.epoch().ReclaimAll();
   EXPECT_TRUE(runtime.Put(key, value).ok());
   EXPECT_EQ(*runtime.GetValue(key), value);
+}
+
+// A SET's object is allocated by MM but enters the index only in IN.I, and
+// in the live pipeline another batch's MM can run in between.  Its eviction
+// must not pick the object: the eviction's index Remove would find nothing,
+// and IN.I would then publish a retired chunk.
+TEST(KvRuntimeTest, EvictionSkipsObjectAwaitingIndexInsert) {
+  KvRuntime::Options options = SmallRuntime();
+  options.slab.arena_bytes = 64 << 10;  // one page of 64-byte chunks
+  options.slab.page_bytes = 64 << 10;
+  KvRuntime runtime(options);
+  // Exactly fills the arena: keys 0..capacity-1 in chunk order, hand at 0.
+  const uint64_t capacity =
+      runtime.memory().allocator().CapacityForObject(8, 8);
+  ASSERT_EQ(capacity, (64u << 10) / 64);
+  const uint64_t objects = runtime.Preload(DatasetK8(), capacity);
+  ASSERT_EQ(objects, capacity);
+  ASSERT_EQ(runtime.memory().counters().evictions, 0u);
+  // With every reference bit set, the hand sweeps the whole page (clearing
+  // the bits) before it evicts anything.
+  const auto touch_all = [&] {
+    for (uint64_t i = 0; i < objects; ++i) runtime.GetValue(KeyFor(i, 8)).ok();
+  };
+  touch_all();
+
+  const std::string key_a = "set-a-00";
+  const std::string value_a = "value-a0";
+  QueryBatch a;
+  MakeSetBatch(key_a, value_a, &a);
+  runtime.RunMemoryManagement(&a, 0, 1);
+  ASSERT_EQ(a.queries[0].status, ResponseStatus::kStored);
+  KvObject* object_a = a.queries[0].object;
+  ASSERT_NE(object_a, nullptr);
+  EXPECT_GE(a.queries[0].evictions, 1u);
+  EXPECT_EQ(a.measurements.evictions, a.queries[0].evictions);
+
+  // The hand now sits just past A's chunk: B's eviction sweeps the whole
+  // page again and reaches A's chunk before any cleared bit.
+  touch_all();
+  const std::string key_b = "set-b-00";
+  const std::string value_b = "value-b0";
+  QueryBatch b;
+  MakeSetBatch(key_b, value_b, &b);
+  runtime.RunMemoryManagement(&b, 0, 1);
+  ASSERT_EQ(b.queries[0].status, ResponseStatus::kStored);
+  EXPECT_GE(b.measurements.evictions, 1u);
+  // A still owns its chunk and is still waiting for its Insert.
+  EXPECT_EQ(object_a->flags & KvObject::kFlagDetached, 0);
+  EXPECT_EQ(object_a->Key(), key_a);
+  EXPECT_EQ(object_a->clock.load(), KvObject::kClockUnpublished);
+
+  for (QueryBatch* batch : {&a, &b}) {
+    runtime.RunIndexInsert(batch, 0, 1);
+    runtime.RunWriteResponse(batch, 0, 1);
+    runtime.RetireBatch(batch);
+    EXPECT_EQ(batch->queries[0].status, ResponseStatus::kStored);
+  }
+  EXPECT_EQ(object_a->clock.load(), KvObject::kClockClear);
+  for (const auto& [key, value] : {std::pair{key_a, value_a},
+                                   std::pair{key_b, value_b}}) {
+    const Result<std::string> got = runtime.GetValue(key);
+    ASSERT_TRUE(got.ok()) << key;
+    EXPECT_EQ(*got, value);
+  }
+  runtime.epoch().ReclaimAll();
+  const MemoryManager::Counters counters = runtime.memory().counters();
+  EXPECT_EQ(counters.allocations - counters.frees, runtime.live_objects());
+}
+
+// A batch reused through Clear() must behave exactly like a fresh one, even
+// when its earlier use was larger and of another shape.
+TEST(KvRuntimeTest, ClearedBatchEncodesLikeFreshBatch) {
+  PipelineConfig staged;  // RD and WR in different stages: exercises staging
+  staged.gpu_begin = 3;
+  staged.gpu_end = 6;
+  for (const PipelineConfig& config : {PipelineConfig::MegaKv(), staged}) {
+    KvRuntime runtime(SmallRuntime());
+    const uint64_t objects = runtime.Preload(DatasetK16(), 5000);
+    WorkloadGenerator mixed(
+        MakeWorkload(DatasetK16(), 50, KeyDistribution::kZipf), objects, 9);
+    TrafficSource mixed_source(&mixed);
+    QueryBatch reused;
+    RunBatchInto(runtime, config, mixed_source, 4000, &reused);
+    ASSERT_FALSE(reused.responses.empty());
+    reused.Clear();
+    EXPECT_TRUE(reused.frames.empty());
+    EXPECT_TRUE(reused.queries.empty());
+    EXPECT_TRUE(reused.responses.empty());
+    EXPECT_TRUE(reused.staging.empty());
+
+    // GET-only from here on, so both runs see the same store.
+    const WorkloadSpec gets =
+        MakeWorkload(DatasetK16(), 100, KeyDistribution::kZipf);
+    WorkloadGenerator gen_a(gets, objects * 2, 5);  // half the keys miss
+    WorkloadGenerator gen_b(gets, objects * 2, 5);
+    TrafficSource source_a(&gen_a);
+    TrafficSource source_b(&gen_b);
+    RunBatchInto(runtime, config, source_a, 1000, &reused);
+    QueryBatch fresh;
+    RunBatchInto(runtime, config, source_b, 1000, &fresh);
+
+    EXPECT_EQ(reused.measurements.num_queries, fresh.measurements.num_queries);
+    EXPECT_EQ(reused.measurements.hits, fresh.measurements.hits);
+    EXPECT_GT(fresh.measurements.misses, 0u);
+    ASSERT_EQ(reused.responses.size(), fresh.responses.size());
+    for (size_t i = 0; i < fresh.responses.size(); ++i) {
+      EXPECT_EQ(reused.responses[i].payload, fresh.responses[i].payload)
+          << "response frame " << i << " under " << config.ToString();
+    }
+  }
 }
 
 TEST(KvRuntimeTest, SamplingEpochFeedsFrequencies) {

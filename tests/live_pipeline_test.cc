@@ -1,7 +1,10 @@
 // Tests for the wall-clock (real-thread) pipeline execution mode.
 
 #include <chrono>
+#include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -89,6 +92,98 @@ TEST(LivePipelineTest, ResponsesAreWellFormed) {
     }
   }
   EXPECT_EQ(decoded, stats.queries);
+}
+
+// Retired batches are recycled, so a long run reuses a handful of
+// QueryBatch objects whose frame buffers held other batches' requests and
+// responses.  Nothing of an earlier use may leak into a later one: every
+// batch's response frames must decode, in order, to answers to exactly its
+// own requests, with the frame count WR's packing predicts for that batch.
+TEST(LivePipelineTest, RecycledBatchesAnswerTheRequestStream) {
+  const WorkloadSpec spec =
+      MakeWorkload(DatasetK16(), 50, KeyDistribution::kZipf);
+  LiveFixture f(spec);
+  LivePipeline::Options options;
+  options.batch_queries = 256;
+  options.keep_responses = true;
+  options.watchdog = false;            // no failover reordering batches
+  options.admission_timeout_ms = 0;    // no shedding
+  const PipelineConfig config = PipelineConfig::MegaKv();
+  const uint64_t stages = config.Stages(4).size();
+  const uint64_t target = 3 * options.queue_depth * stages;
+  LivePipeline pipeline(f.runtime.get(), config, options);
+  ASSERT_TRUE(pipeline.Start(f.source.get()).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (pipeline.Collect().batches < target &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  pipeline.Stop();
+  const LivePipeline::Stats stats = pipeline.Collect();
+  ASSERT_GE(stats.batches, target);
+  EXPECT_LE(stats.batches_allocated, stages * (options.queue_depth + 1));
+  const std::vector<Frame> responses = pipeline.TakeResponses();
+
+  // Replay the request stream the pipeline ingested, batch by batch.
+  WorkloadGenerator mirror_generator(spec, f.objects, 3);
+  TrafficSource mirror(&mirror_generator);
+  const uint32_t key_size = spec.dataset.key_size;
+  const uint32_t value_size = spec.dataset.value_size;
+  std::vector<Query> expected;
+  std::vector<size_t> frames_per_batch;
+  for (uint64_t b = 0; b < stats.batches; ++b) {
+    std::vector<Query> batch;
+    while (batch.size() < options.batch_queries) {
+      Frame frame;
+      mirror.FillFrame(&frame, &batch);
+    }
+    size_t frames = 0;
+    size_t fill = kMaxFramePayload;  // forces a frame for the first record
+    for (const Query& q : batch) {
+      const size_t bytes = kRecordHeaderBytes + key_size +
+                           (q.op == QueryOp::kGet ? value_size : 0);
+      if (fill + bytes > kMaxFramePayload) {
+        ++frames;
+        fill = 0;
+      }
+      fill += bytes;
+    }
+    frames_per_batch.push_back(frames);
+    expected.insert(expected.end(), batch.begin(), batch.end());
+  }
+  EXPECT_GT(std::set<size_t>(frames_per_batch.begin(), frames_per_batch.end())
+                .size(),
+            1u);
+  size_t expected_frames = 0;
+  for (size_t n : frames_per_batch) expected_frames += n;
+  ASSERT_EQ(responses.size(), expected_frames);
+  ASSERT_EQ(expected.size(), stats.queries);
+
+  std::string key(key_size, '\0');
+  size_t next = 0;
+  for (const Frame& frame : responses) {
+    size_t offset = 0;
+    while (offset < frame.payload.size()) {
+      ResponseView view;
+      ASSERT_TRUE(DecodeResponse(frame.payload.data(), frame.payload.size(),
+                                 &offset, &view)
+                      .ok());
+      ASSERT_LT(next, expected.size());
+      const Query& q = expected[next++];
+      MaterializeKey(q.key_index, key_size,
+                     reinterpret_cast<uint8_t*>(key.data()));
+      ASSERT_EQ(view.op, q.op) << "record " << next - 1;
+      ASSERT_EQ(view.key, key) << "record " << next - 1;
+      if (q.op == QueryOp::kGet) {
+        ASSERT_EQ(view.status, ResponseStatus::kOk);
+        ASSERT_EQ(view.value.size(), value_size);
+      } else {
+        ASSERT_EQ(view.status, ResponseStatus::kStored);
+      }
+    }
+  }
+  EXPECT_EQ(next, expected.size());
 }
 
 TEST(LivePipelineTest, PureCpuSingleStageWorks) {

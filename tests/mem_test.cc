@@ -107,10 +107,12 @@ TEST(SlabAllocatorTest, EvictsLeastRecentlyUsed) {
     const std::string key = "key" + std::to_string(1000 + i);
     Result<KvObject*> object = allocator.Allocate(key, "v", 0, &evicted);
     ASSERT_TRUE(object.ok());
+    SlabAllocator::Publish(*object);
     objects.push_back(*object);
   }
   EXPECT_EQ(evicted.stale_ptr, nullptr);
-  // The next allocation must evict the least recently used = first object.
+  // The next allocation must evict the least recently used = first object
+  // (the hand starts at the page's first chunk, which it handed out first).
   Result<KvObject*> overflow =
       allocator.Allocate("overflow", "v", 0, &evicted);
   ASSERT_TRUE(overflow.ok());
@@ -128,14 +130,119 @@ TEST(SlabAllocatorTest, TouchProtectsFromEviction) {
     Result<KvObject*> object =
         allocator.Allocate("key" + std::to_string(1000 + i), "v", 0, nullptr);
     ASSERT_TRUE(object.ok());
+    SlabAllocator::Publish(*object);
     objects.push_back(*object);
   }
-  allocator.Touch(objects[0]);  // bump the would-be victim to MRU
+  allocator.Touch(objects[0]);  // set the would-be victim's reference bit
   Result<KvObject*> overflow =
       allocator.Allocate("overflow", "v", 0, &evicted);
   ASSERT_TRUE(overflow.ok());
   ASSERT_NE(evicted.stale_ptr, nullptr);
   EXPECT_EQ(evicted.key, "key1001");  // second-oldest evicted instead
+}
+
+// Fills a one-page arena of 64-byte chunks with published objects
+// key1000.. in chunk order.
+std::vector<KvObject*> FillPublishedPage(SlabAllocator& allocator) {
+  std::vector<KvObject*> objects;
+  const size_t capacity = (64 << 10) / 64;
+  for (size_t i = 0; i < capacity; ++i) {
+    Result<KvObject*> object =
+        allocator.Allocate("key" + std::to_string(1000 + i), "v", 0, nullptr);
+    EXPECT_TRUE(object.ok());
+    if (!object.ok()) break;
+    SlabAllocator::Publish(*object);
+    objects.push_back(*object);
+  }
+  return objects;
+}
+
+// Allocates a published replacement object, evicting inline; returns the
+// victim's chunk (nullptr when nothing was evicted).
+KvObject* EvictOne(SlabAllocator& allocator, const std::string& key) {
+  SlabAllocator::EvictedObject evicted;
+  Result<KvObject*> object = allocator.Allocate(key, "v", 0, &evicted);
+  EXPECT_TRUE(object.ok());
+  if (object.ok()) SlabAllocator::Publish(*object);
+  return evicted.stale_ptr;
+}
+
+TEST(SlabAllocatorTest, ClockStateFollowsPublishAndTouch) {
+  SlabAllocator allocator(SmallArena());
+  Result<KvObject*> object = allocator.Allocate("key-0001", "v", 0, nullptr);
+  ASSERT_TRUE(object.ok());
+  KvObject* o = *object;
+  EXPECT_EQ(o->clock.load(), KvObject::kClockUnpublished);
+  SlabAllocator::Touch(o);  // a hit cannot publish the object
+  EXPECT_EQ(o->clock.load(), KvObject::kClockUnpublished);
+  SlabAllocator::Publish(o);
+  EXPECT_EQ(o->clock.load(), KvObject::kClockClear);
+  SlabAllocator::Touch(o);
+  EXPECT_EQ(o->clock.load(), KvObject::kClockReferenced);
+  allocator.Free(o);
+  EXPECT_EQ(o->clock.load(), KvObject::kClockFree);
+}
+
+TEST(SlabAllocatorTest, TouchedObjectSurvivesOneSweep) {
+  SlabAllocator allocator(SmallArena(64 << 10));
+  const std::vector<KvObject*> objects = FillPublishedPage(allocator);
+  ASSERT_EQ(objects.size(), (64u << 10) / 64);
+  SlabAllocator::Touch(objects[0]);
+  // The first sweep clears objects[0]'s bit and evicts every other chunk
+  // in address order; objects[0] goes only when the hand comes back.
+  for (size_t i = 1; i < objects.size(); ++i) {
+    ASSERT_EQ(EvictOne(allocator, "new" + std::to_string(i)), objects[i]);
+  }
+  EXPECT_EQ(EvictOne(allocator, "last"), objects[0]);
+}
+
+TEST(SlabAllocatorTest, ClockHandWraps) {
+  SlabAllocator allocator(SmallArena(64 << 10));
+  const std::vector<KvObject*> objects = FillPublishedPage(allocator);
+  ASSERT_FALSE(objects.empty());
+  for (size_t i = 0; i < objects.size(); ++i) {
+    ASSERT_EQ(EvictOne(allocator, "new" + std::to_string(i)), objects[i]);
+  }
+  // Past the page's last chunk the hand starts over at the first, which now
+  // holds the first replacement object.
+  SlabAllocator::EvictedObject evicted;
+  ASSERT_TRUE(allocator.Allocate("wrapped", "v", 0, &evicted).ok());
+  EXPECT_EQ(evicted.stale_ptr, objects[0]);
+  EXPECT_EQ(evicted.key, "new0");
+}
+
+TEST(SlabAllocatorTest, ClockNeverPicksDetachedOrUnpublished) {
+  SlabAllocator allocator(SmallArena(64 << 10));
+  const size_t capacity = (64 << 10) / 64;
+  std::vector<KvObject*> objects;
+  for (size_t i = 0; i < capacity; ++i) {
+    Result<KvObject*> object =
+        allocator.Allocate("key" + std::to_string(1000 + i), "v", 0, nullptr);
+    ASSERT_TRUE(object.ok());
+    // objects[0] stays unpublished (its index Insert has not run yet).
+    if (i != 0) SlabAllocator::Publish(*object);
+    objects.push_back(*object);
+  }
+  ASSERT_TRUE(allocator.TryDetach(objects[1]));
+  // Two full sweeps' worth of evictions never touch either chunk.
+  for (size_t i = 0; i < 2 * capacity; ++i) {
+    KvObject* victim = EvictOne(allocator, "new" + std::to_string(i));
+    ASSERT_NE(victim, nullptr);
+    ASSERT_NE(victim, objects[0]);
+    ASSERT_NE(victim, objects[1]);
+  }
+  EXPECT_EQ(objects[0]->Key(), "key1000");
+  EXPECT_EQ(objects[1]->Key(), "key1001");
+  // With only unevictable objects left, allocation fails instead.
+  SlabAllocator small(SmallArena(64 << 10));
+  for (size_t i = 0; i < capacity; ++i) {
+    ASSERT_TRUE(small.Allocate("key" + std::to_string(1000 + i), "v", 0,
+                               nullptr).ok());
+  }
+  Result<KvObject*> overflow = small.Allocate("overflow", "v", 0, nullptr);
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kOutOfMemory);
+  allocator.ReleaseDetached(objects[1]);
 }
 
 TEST(SlabAllocatorTest, DetachModeQuarantinesVictimAndFailsAllocation) {
@@ -147,9 +254,10 @@ TEST(SlabAllocatorTest, DetachModeQuarantinesVictimAndFailsAllocation) {
     Result<KvObject*> object =
         allocator.Allocate("key" + std::to_string(1000 + i), "v", 0, nullptr);
     ASSERT_TRUE(object.ok());
+    SlabAllocator::Publish(*object);
     objects.push_back(*object);
   }
-  // Detach-mode overflow: the LRU victim is unlinked and flagged but its
+  // Detach-mode overflow: the CLOCK victim is detached and flagged but its
   // storage survives, and the allocation itself reports out-of-memory.
   SlabAllocator::EvictedObject evicted;
   Result<KvObject*> overflow =
@@ -169,7 +277,7 @@ TEST(SlabAllocatorTest, DetachModeQuarantinesVictimAndFailsAllocation) {
   EXPECT_EQ(stats.live_objects, capacity - 1);
   EXPECT_EQ(stats.total_evictions, 1u);
 
-  // Touch on a detached object is a no-op (it is in no LRU list).
+  // Touch on a detached object is harmless: the hand never reads its bit.
   allocator.Touch(evicted.stale_ptr);
 
   // Releasing the detached chunk makes the next allocation succeed and
@@ -196,10 +304,10 @@ TEST(SlabAllocatorTest, StatsTrackLiveObjectsAndEvictions) {
   SlabAllocator allocator(options);
   const size_t capacity = (64 << 10) / 64;
   for (size_t i = 0; i < capacity + 10; ++i) {
-    ASSERT_TRUE(allocator
-                    .Allocate("key" + std::to_string(10000 + i), "v", 0,
-                              nullptr)
-                    .ok());
+    Result<KvObject*> object =
+        allocator.Allocate("key" + std::to_string(10000 + i), "v", 0, nullptr);
+    ASSERT_TRUE(object.ok());
+    SlabAllocator::Publish(*object);
   }
   const SlabAllocator::Stats stats = allocator.GetStats();
   EXPECT_EQ(stats.live_objects, capacity);
@@ -213,10 +321,10 @@ TEST(SlabAllocatorTest, CapacityForObjectMatchesReality) {
   uint64_t stored = 0;
   SlabAllocator::EvictedObject evicted;
   while (evicted.stale_ptr == nullptr && stored < predicted + 10) {
-    ASSERT_TRUE(allocator
-                    .Allocate("key" + std::to_string(10000000 + stored), "v",
-                              0, &evicted)
-                    .ok());
+    Result<KvObject*> object = allocator.Allocate(
+        "key" + std::to_string(10000000 + stored), "v", 0, &evicted);
+    ASSERT_TRUE(object.ok());
+    SlabAllocator::Publish(*object);
     ++stored;
   }
   EXPECT_EQ(stored, predicted + 1);  // eviction fires exactly past capacity
@@ -269,6 +377,7 @@ TEST(MemoryManagerTest, CountersTrackOperations) {
     Result<KvObject*> object = manager.AllocateObject(
         "key" + std::to_string(10000 + i), "v", 0, &evictions);
     ASSERT_TRUE(object.ok());
+    SlabAllocator::Publish(*object);
   }
   EXPECT_EQ(manager.counters().allocations, capacity + 5);
   EXPECT_EQ(manager.counters().evictions, 5u);
@@ -334,10 +443,10 @@ TEST(MemoryManagerTest, EpochModeEvictionQuarantinesAndRetries) {
   std::vector<SlabAllocator::EvictedObject> evictions;
   const size_t capacity = (64 << 10) / 64;
   for (size_t i = 0; i < capacity; ++i) {
-    ASSERT_TRUE(manager
-                    .AllocateObject("key" + std::to_string(10000 + i), "v", 0,
-                                    &evictions)
-                    .ok());
+    Result<KvObject*> object = manager.AllocateObject(
+        "key" + std::to_string(10000 + i), "v", 0, &evictions);
+    ASSERT_TRUE(object.ok());
+    SlabAllocator::Publish(*object);
   }
   ASSERT_TRUE(evictions.empty());
 

@@ -17,8 +17,7 @@
 #   3. a Clang -Wthread-safety build (errors) via the thread-safety preset,
 #   4. cppcheck over src/ with the committed suppression list.
 #
-# The old standalone memory-order lint is the analyzer's memorder pass now;
-# tools/check_memory_order.py remains as a deprecation shim only.
+# The memory-order lint is the analyzer's memorder pass.
 #
 # Steps 3 and 4 are skipped with a notice when clang++/cppcheck are not
 # installed (the analyzer and lints are pure Python and always run); CI

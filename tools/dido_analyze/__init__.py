@@ -25,8 +25,7 @@ cannot see:
               counter: the static half of the chaos suite's
               `ingested - shed == responses` arithmetic.
   memorder -- every memory_order_relaxed carries a justifying "relaxed"
-              comment nearby (absorbed from tools/check_memory_order.py;
-              that path remains as a deprecation shim).
+              comment nearby (formerly a standalone lint script).
 
 Suppressions (all passes, same grammar):
 

@@ -1,7 +1,6 @@
 """CLI: python3 tools/dido_analyze <repo-root> [--pass ...] [--backend ...]
 
-Exit status: 0 clean, 1 findings, 2 usage error (the convention the old
-standalone tools/check_memory_order.py established).
+Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 import argparse

@@ -72,7 +72,7 @@ ALLOC_RE = re.compile(
     r"\bnew\b"
     r"|\bstd::make_(?:unique|shared)\b|\bmake_(?:unique|shared)\s*<"
     r"|\b(?:malloc|calloc|realloc|strdup)\s*\("
-    r"|\.(?:push_back|emplace_back|emplace|insert|resize|reserve|append"
+    r"|(?:\.|->)(?:push_back|emplace_back|emplace|insert|resize|reserve|append"
     r"|assign)\s*\("
     r"|\bstd::to_string\s*\(|\bstd::string\s*\(")
 

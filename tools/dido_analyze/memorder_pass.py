@@ -1,4 +1,4 @@
-"""Memory-order justification pass (absorbed tools/check_memory_order.py).
+"""Memory-order justification pass (formerly a standalone lint script).
 
 Every `std::memory_order_relaxed` in an audited file must carry a comment
 containing the word "relaxed" on the same line or within the preceding
@@ -7,8 +7,7 @@ to spell out why it is safe.  The audit set is discovered, not maintained:
 any scanned file mentioning `std::atomic` or `memory_order` is audited, so
 a new lock-free component cannot dodge the check by not being on a list.
 
-The standalone tools/check_memory_order.py is now a deprecation shim that
-execs this pass; its OPT_OUT waiver list is replaced by the analyzer's
+The standalone script's OPT_OUT waiver list is replaced by the analyzer's
 shared suppression syntax (`dido-analyze: allow(memorder): <reason>` or a
 begin/end-allow region).
 """

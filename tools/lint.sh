@@ -5,7 +5,7 @@
 #
 # Runs, in order:
 #   1. the dido invariant analyzer (all seven contract passes, including
-#      the memory-order lint that used to be tools/check_memory_order.py),
+#      the memory-order lint),
 #   2. clang-format in check mode (or in-place with --fix),
 #   3. clang-tidy over src/ (needs a compile_commands.json; the script
 #      configures build/ with CMAKE_EXPORT_COMPILE_COMMANDS if absent).
