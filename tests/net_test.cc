@@ -2,6 +2,7 @@
 
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,11 +15,20 @@ namespace {
 
 // ------------------------------------------------------------- Codec -----
 
+// gtest names each case by dumping the struct's bytes, so every byte is a
+// member with a value. Compiler padding after `op` would leak stack and heap
+// garbage into the test names and change them from build to build.
 struct CodecCase {
+  CodecCase(QueryOp case_op, size_t case_key_size, size_t case_value_size)
+      : op(case_op), key_size(case_key_size), value_size(case_value_size) {}
+
   QueryOp op;
+  uint8_t reserved[7] = {};
   size_t key_size;
   size_t value_size;
 };
+static_assert(std::has_unique_object_representations_v<CodecCase>,
+              "CodecCase must have no padding bytes");
 
 class CodecRoundTripTest : public ::testing::TestWithParam<CodecCase> {};
 
