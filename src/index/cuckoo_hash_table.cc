@@ -1,6 +1,8 @@
 #include "index/cuckoo_hash_table.h"
 
 #include <bit>
+#include <new>
+#include <type_traits>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -20,15 +22,12 @@ Random& ThreadRng() {
 CuckooHashTable::CuckooHashTable(const Options& options)
     : num_buckets_(std::bit_ceil(std::max<uint64_t>(options.num_buckets, 2))),
       bucket_mask_(num_buckets_ - 1),
-      buckets_(std::make_unique<Bucket[]>(num_buckets_)),
+      bucket_region_(num_buckets_ * sizeof(Bucket)),
+      // Default-initialising a std::atomic zeroes it (C++20), so every slot
+      // starts empty; the array needs no destructor run.
+      buckets_(new (bucket_region_.data()) Bucket[num_buckets_]),
       options_(options) {
-  for (uint64_t b = 0; b < num_buckets_; ++b) {
-    for (int s = 0; s < kSlotsPerBucket; ++s) {
-      // relaxed: zero-filling slots before the table is published to any
-      // other thread; construction happens-before all concurrent access.
-      buckets_[b].slots[s].store(0, std::memory_order_relaxed);
-    }
-  }
+  static_assert(std::is_trivially_destructible_v<Bucket>);
 }
 
 uint64_t CuckooHashTable::HashKey(std::string_view key) {

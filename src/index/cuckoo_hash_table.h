@@ -4,10 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string_view>
 #include <vector>
 
+#include "common/mapped_region.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/status.h"
@@ -163,11 +163,13 @@ class CuckooHashTable {
 
   const uint64_t num_buckets_;  // power of two
   const uint64_t bucket_mask_;
-  // Bucket array: allocated once at construction; the slots inside are
+  // Bucket array: constructed in place on a mapping made once at
+  // construction (on huge pages when >= 2 MiB); the slots inside are
   // lock-free atomics published by CAS, deliberately NOT guarded by
   // displacement_mu_ (Search never locks — paper Section III-B2).
+  const MappedRegion bucket_region_;
   // dido-analyze: allow(lock): set once at construction, then read-only
-  std::unique_ptr<Bucket[]> buckets_;
+  Bucket* const buckets_;
   std::atomic<uint64_t> live_entries_{0};
   Mutex displacement_mu_;  // serializes cuckoo path moves
   mutable AtomicCounters counters_;

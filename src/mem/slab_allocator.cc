@@ -8,12 +8,10 @@
 
 namespace dido {
 
-SlabAllocator::SlabAllocator(const Options& options) : options_(options) {
+SlabAllocator::SlabAllocator(const Options& options)
+    : options_(options), arena_(options.arena_bytes + kStaleReadSlackBytes) {
   DIDO_CHECK_GE(options_.page_bytes, options_.min_chunk_bytes);
   DIDO_CHECK_GT(options_.growth_factor, 1.0);
-  // A little slack past the arena end keeps bounded reads through stale
-  // index candidates (live concurrent mode) inside the allocation.
-  arena_ = std::make_unique<uint8_t[]>(options_.arena_bytes + 512);
   // Build size classes from min_chunk_bytes up to page_bytes.
   size_t chunk = options_.min_chunk_bytes;
   while (chunk <= options_.page_bytes) {
@@ -44,7 +42,7 @@ int SlabAllocator::ClassForSizeLocked(size_t footprint) const {
 
 bool SlabAllocator::GrowClassLocked(SlabClass& cls) {
   if (arena_offset_ + options_.page_bytes > options_.arena_bytes) return false;
-  uint8_t* page = arena_.get() + arena_offset_;
+  uint8_t* page = arena_.data() + arena_offset_;
   arena_offset_ += options_.page_bytes;
   // Pushed highest address first: the free list pops from the back, so the
   // page's chunks are handed out in address order (the order the hand

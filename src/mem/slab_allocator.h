@@ -2,10 +2,10 @@
 #define DIDO_MEM_SLAB_ALLOCATOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/mapped_region.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/status.h"
@@ -179,10 +179,13 @@ class SlabAllocator {
   int ClassForSizeLocked(size_t footprint) const DIDO_REQUIRES(mu_);
 
   const Options options_;
-  // Arena storage: allocated once in the constructor; the pointer itself
-  // is never reassigned (chunk contents are handed out under mu_).
+  // Arena storage: mapped once in the constructor (lazily zeroed, on huge
+  // pages when >= 2 MiB) and never remapped; chunk contents are handed out
+  // under mu_.  kStaleReadSlackBytes past the arena end keep bounded reads
+  // through stale index candidates (live concurrent mode) inside it.
+  static constexpr size_t kStaleReadSlackBytes = 512;
   // dido-analyze: allow(lock): set once at construction, then read-only
-  std::unique_ptr<uint8_t[]> arena_;
+  const MappedRegion arena_;
   size_t arena_offset_ DIDO_GUARDED_BY(mu_) = 0;  // page bump pointer
   std::vector<SlabClass> classes_ DIDO_GUARDED_BY(mu_);
   mutable Mutex mu_;

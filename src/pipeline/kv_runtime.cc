@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "common/mapped_region.h"
 #include "durability/durability.h"
 #include "obs/metrics.h"
 
@@ -81,6 +82,10 @@ void KvRuntime::RegisterMetrics(obs::MetricsRegistry* registry) {
     gauge("dido_epoch_quarantined", static_cast<double>(epoch_stats.quarantined));
     counter("dido_epoch_advances_total", epoch_stats.advances);
     gauge("dido_live_objects", static_cast<double>(live_objects()));
+    // Process-wide, read from /proc at exposition time only: shows whether
+    // the arena and index mappings really sit on huge pages.
+    gauge("dido_process_anon_huge_bytes",
+          static_cast<double>(ProcessAnonHugeBytes()));
   });
 }
 

@@ -1,10 +1,12 @@
 // Unit tests for src/common: Status/Result, Random, Zipf, Hash, Histogram,
-// RunningStats.
+// RunningStats, MappedRegion.
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/logging.h"
+#include "common/mapped_region.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -600,6 +603,76 @@ TEST(LoggingTest, SeverityFilter) {
   EXPECT_FALSE(DIDO_LOG_ENABLED(Info));
   EXPECT_TRUE(DIDO_LOG_ENABLED(Error));
   SetMinLogSeverity(original);
+}
+
+// ---------------------------------------------------------- MappedRegion --
+
+constexpr size_t kHugePage = MappedRegion::kHugePageBytes;
+constexpr size_t kSmallPage = MappedRegion::kSmallPageBytes;
+
+uintptr_t Address(const MappedRegion& region) {
+  return reinterpret_cast<uintptr_t>(region.data());
+}
+
+TEST(MappedRegionTest, LargeRegionsAreHugePageAligned) {
+  for (const size_t bytes : {kHugePage, 5 * kHugePage + 512}) {
+    MappedRegion region(bytes);
+    EXPECT_EQ(Address(region) % kHugePage, 0u) << bytes;
+    EXPECT_EQ(region.size(), bytes);
+    EXPECT_EQ(region.mapped_bytes() % kHugePage, 0u) << bytes;
+    EXPECT_GE(region.mapped_bytes(), bytes);
+    EXPECT_LT(region.mapped_bytes() - bytes, kHugePage);
+  }
+}
+
+TEST(MappedRegionTest, SmallRegionsAreNotRoundedToHugePages) {
+  for (const size_t bytes : {size_t{1}, size_t{1} << 20, (size_t{1} << 20) + 512,
+                             kHugePage - 1}) {
+    MappedRegion region(bytes);
+    EXPECT_EQ(Address(region) % kSmallPage, 0u) << bytes;
+    EXPECT_EQ(region.mapped_bytes(),
+              (bytes + kSmallPage - 1) / kSmallPage * kSmallPage)
+        << bytes;
+  }
+}
+
+TEST(MappedRegionTest, ContentsReadZero) {
+  for (const size_t bytes : {size_t{4000}, (size_t{1} << 20) + 512,
+                             3 * kHugePage + 8}) {
+    MappedRegion region(bytes);
+    const uint8_t* data = region.data();
+    Random rng(bytes);
+    for (int i = 0; i < 512; ++i) {
+      const uint64_t offset = rng.NextBounded(bytes);
+      ASSERT_EQ(data[offset], 0) << "offset " << offset << " of " << bytes;
+    }
+    EXPECT_EQ(data[0], 0);
+    EXPECT_EQ(data[bytes - 1], 0);
+  }
+}
+
+TEST(MappedRegionTest, MovedFromRegionIsEmptyAndUnmapsNothing) {
+  MappedRegion kept(kSmallPage);
+  uint8_t* data = nullptr;
+  {
+    MappedRegion source(kHugePage);
+    data = source.data();
+    data[0] = 42;
+    data[kHugePage - 1] = 7;
+    MappedRegion middle(std::move(source));
+    EXPECT_EQ(source.data(), nullptr);
+    EXPECT_EQ(source.size(), 0u);
+    EXPECT_EQ(source.mapped_bytes(), 0u);
+    EXPECT_EQ(middle.data(), data);
+    kept = std::move(middle);  // unmaps kept's own small page
+    EXPECT_EQ(middle.data(), nullptr);
+    EXPECT_EQ(middle.size(), 0u);
+  }  // source and middle go out of scope empty
+  ASSERT_EQ(kept.data(), data);
+  EXPECT_EQ(kept.size(), kHugePage);
+  // Still mapped: a moved-from destructor that unmapped would fault here.
+  EXPECT_EQ(data[0], 42);
+  EXPECT_EQ(data[kHugePage - 1], 7);
 }
 
 }  // namespace

@@ -115,6 +115,22 @@ TEST(CuckooTest, RemoveByIdentity) {
   EXPECT_EQ(table.Remove(hash, object).code(), StatusCode::kNotFound);
 }
 
+TEST(CuckooTest, FreshTableIsEmpty) {
+  // 1 << 15 buckets are exactly 2 MiB: the huge-page mapping.
+  for (const uint64_t buckets : {uint64_t{1} << 10, uint64_t{1} << 15}) {
+    CuckooHashTable table(SmallTable(buckets));
+    EXPECT_EQ(table.LiveEntries(), 0u);
+    Random rng(buckets);
+    KvObject* candidates[8];
+    for (int i = 0; i < 4096; ++i) {
+      ASSERT_EQ(table.Search(rng.Next(), candidates, 8), 0) << buckets;
+    }
+    int visited = 0;
+    table.ForEach([&visited](const KvObject*) { ++visited; });
+    EXPECT_EQ(visited, 0);
+  }
+}
+
 TEST(CuckooTest, SearchReturnsCandidatesForKc) {
   ObjectPool pool;
   CuckooHashTable table(SmallTable());

@@ -1,6 +1,8 @@
 // End-to-end correctness tests of the shared KV runtime: preload, the batch
 // task implementations, deferred reclamation and the direct API.
 
+#include <cmath>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -8,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "index/cuckoo_hash_table.h"
+#include "obs/metrics.h"
 #include "pipeline/kv_runtime.h"
 #include "pipeline/pipeline_config.h"
 #include "net/sim_nic.h"
@@ -114,6 +117,22 @@ TEST(KvRuntimeTest, DirectApiRoundTrip) {
   EXPECT_TRUE(runtime.DeleteKey("k1").ok());
   EXPECT_FALSE(runtime.GetValue("k1").ok());
   EXPECT_EQ(runtime.DeleteKey("k1").code(), StatusCode::kNotFound);
+}
+
+TEST(KvRuntimeTest, ExposesAnonHugeBytesGauge) {
+  KvRuntime runtime(SmallRuntime());
+  runtime.Preload(DatasetK128(), 1000);
+  obs::MetricsRegistry registry;
+  runtime.RegisterMetrics(&registry);
+  const std::string text = registry.RenderPrometheus();
+  runtime.RegisterMetrics(nullptr);
+  // The value depends on the host's THP mode; only its form is checked.
+  const std::string name = "\ndido_process_anon_huge_bytes ";
+  const size_t at = text.find(name);
+  ASSERT_NE(at, std::string::npos) << text;
+  const double value = std::strtod(text.c_str() + at + name.size(), nullptr);
+  EXPECT_TRUE(std::isfinite(value));
+  EXPECT_GE(value, 0.0);
 }
 
 class BatchPipelineTest
