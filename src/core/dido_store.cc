@@ -181,23 +181,15 @@ BatchResult DidoStore::ServeBatch(TrafficSource& source,
     // Model error with truthful workload inputs: predict the batch we just
     // executed from its own measured profile, compare per-stage simulated
     // times (both sides in simulated-APU microseconds).
-    const Prediction prediction = cost_model_.PredictAtBatchSize(
-        config_, result.measured_profile,
-        std::max<uint64_t>(1, result.batch_size));
-    if (prediction.stages.size() == result.stages.size()) {
-      std::vector<double> predicted_us;
-      std::vector<double> observed_us;
-      std::vector<Device> devices;
-      predicted_us.reserve(result.stages.size());
-      observed_us.reserve(result.stages.size());
-      devices.reserve(result.stages.size());
-      for (size_t s = 0; s < result.stages.size(); ++s) {
-        predicted_us.push_back(prediction.stages[s].time_after_steal_us);
-        observed_us.push_back(result.stages[s].time_after_steal_us);
-        devices.push_back(result.stages[s].device);
-      }
-      drift_->ObserveBatch(predicted_us, observed_us, devices);
+    std::vector<double> observed_us;
+    for (const StageResult& stage : result.stages) {
+      observed_us.push_back(stage.time_after_steal_us);
     }
+    ObservePredictionDrift(
+        cost_model_.PredictAtBatchSize(
+            config_, result.measured_profile,
+            std::max<uint64_t>(1, result.batch_size)),
+        observed_us, drift_.get());
   }
   profiler_.Observe(result.measured_profile, result.measurements);
   MaybeAdapt();

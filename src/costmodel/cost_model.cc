@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "obs/drift.h"
 
 namespace dido {
 namespace {
@@ -149,22 +150,16 @@ Prediction CostModel::PredictAtBatchSize(const PipelineConfig& config,
       }
     }
     if (thief_exists) {
-      // Thief-side time for the bottleneck stage's task set (RV/PP/SD are
-      // not stealable and are excluded).
+      // Thief-side time for the bottleneck stage's stealable task set:
+      // range tasks only, and for a GPU thief only its kernels.
       StageSpec thief_stage;
       thief_stage.device = thief;
       thief_stage.cpu_cores = spec_.cpu.cores;
       for (TaskKind task : stages[bottleneck].tasks) {
-        if (task == TaskKind::kRv || task == TaskKind::kPp ||
-            task == TaskKind::kSd) {
-          continue;
+        if (thief == Device::kGpu ? IsGpuKernelTask(task)
+                                  : IsRangeTask(task)) {
+          thief_stage.tasks.push_back(task);
         }
-        if (thief == Device::kGpu && task != TaskKind::kInSearch &&
-            task != TaskKind::kInInsert && task != TaskKind::kInDelete &&
-            task != TaskKind::kKc && task != TaskKind::kRd) {
-          continue;  // the GPU only has kernels for the IN/KC/RD tasks
-        }
-        thief_stage.tasks.push_back(task);
       }
       if (!thief_stage.tasks.empty()) {
         const Micros thief_time =
@@ -214,6 +209,21 @@ Prediction CostModel::Predict(const PipelineConfig& config,
     if (std::fabs(scale - 1.0) < 0.04) break;
   }
   return prediction;
+}
+
+void ObservePredictionDrift(const Prediction& prediction,
+                            const std::vector<double>& observed_us,
+                            obs::CostDriftTracker* tracker) {
+  if (prediction.stages.size() != observed_us.size()) return;
+  std::vector<double> predicted_us;
+  std::vector<Device> devices;
+  predicted_us.reserve(observed_us.size());
+  devices.reserve(observed_us.size());
+  for (const StagePrediction& stage : prediction.stages) {
+    predicted_us.push_back(stage.time_after_steal_us);
+    devices.push_back(stage.device);
+  }
+  tracker->ObserveBatch(predicted_us, observed_us, devices);
 }
 
 }  // namespace dido

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -115,6 +116,7 @@ LivePipeline::LivePipeline(KvRuntime* runtime, const PipelineConfig& config,
       << options.degraded_config.ToString();
   stages_ = config_.Stages(4);
   degraded_stages_ = options_.degraded_config.Stages(4);
+  stage_metrics_.resize(stages_.size());
   SetupObservability();
 }
 
@@ -126,7 +128,7 @@ void LivePipeline::SetupObservability() {
   for (size_t i = 0; i < stages_.size(); ++i) {
     const std::string stage = std::to_string(i);
     const std::string device(DeviceName(stages_[i].device));
-    StageMetrics sm;
+    StageMetrics& sm = stage_metrics_[i];
     sm.execute_us = reg->GetHistogram(
         obs::MetricName("dido_live_stage_execute_us",
                         {{"stage", stage}, {"device", device}}),
@@ -139,7 +141,6 @@ void LivePipeline::SetupObservability() {
         obs::MetricName("dido_live_stage_batches_total",
                         {{"stage", stage}, {"device", device}}),
         "Batches executed by the stage");
-    stage_metrics_.push_back(sm);
     if (i >= 1) {
       queue_depth_gauges_.push_back(reg->GetGauge(
           obs::MetricName("dido_live_queue_depth",
@@ -147,9 +148,11 @@ void LivePipeline::SetupObservability() {
           "Batches queued in front of stage i+1 (watchdog-sampled)"));
     }
   }
-  degraded_execute_us_ =
+  degraded_metrics_.execute_us =
       reg->GetHistogram("dido_live_degraded_execute_us",
                         "Wall microseconds per degraded inline batch");
+  degraded_metrics_.batches = reg->GetCounter(
+      "dido_live_degraded_batches_total", "Batches run inline while degraded");
   batches_retired_counter_ =
       reg->GetCounter("dido_live_batches_total", "Batches retired");
   queries_retired_counter_ =
@@ -176,8 +179,6 @@ void LivePipeline::SetupObservability() {
       "dido_live_failovers_total", "Watchdog healthy -> degraded transitions");
   repromotions_counter_ = reg->GetCounter(
       "dido_live_repromotions_total", "Watchdog degraded -> healthy returns");
-  degraded_batches_counter_ = reg->GetCounter(
-      "dido_live_degraded_batches_total", "Batches run inline while degraded");
   degraded_gauge_ =
       reg->GetGauge("dido_live_degraded", "1 while failed over, else 0");
   if (options_.cost_model != nullptr) {
@@ -193,22 +194,15 @@ void LivePipeline::ObserveDrift(const QueryBatch& batch) {
   if (drift_ == nullptr || options_.cost_model == nullptr) return;
   const BatchObs& observed = batch.obs;
   if (observed.num_stages == 0 || batch.measurements.num_queries == 0) return;
-  const Prediction prediction = options_.cost_model->PredictAtBatchSize(
-      batch.config, ProfileFromBatch(batch, *runtime_),
-      batch.measurements.num_queries);
-  if (prediction.stages.size() != observed.num_stages) return;
-  std::vector<double> predicted_us;
-  std::vector<double> observed_us;
-  std::vector<Device> devices;
-  predicted_us.reserve(observed.num_stages);
-  observed_us.reserve(observed.num_stages);
-  devices.reserve(observed.num_stages);
-  for (size_t i = 0; i < observed.num_stages; ++i) {
-    predicted_us.push_back(prediction.stages[i].time_after_steal_us);
-    observed_us.push_back(observed.stage_execute_us[i]);
-    devices.push_back(prediction.stages[i].device);
-  }
-  drift_->ObserveBatch(predicted_us, observed_us, devices);
+  ObservePredictionDrift(
+      options_.cost_model->PredictAtBatchSize(
+          batch.config, ProfileFromBatch(batch, *runtime_),
+          batch.measurements.num_queries),
+      std::vector<double>(
+          observed.stage_execute_us.begin(),
+          observed.stage_execute_us.begin() +
+              static_cast<std::ptrdiff_t>(observed.num_stages)),
+      drift_.get());
 }
 
 Status LivePipeline::Start(TrafficSource* source) {
@@ -310,17 +304,56 @@ void LivePipeline::RecycleBatch(std::unique_ptr<QueryBatch> batch) {
   free_batches_.push_back(std::move(batch));
 }
 
-void LivePipeline::RunStagesInline(const std::vector<StageSpec>& stages,
-                                   QueryBatch* batch) {
-  for (const StageSpec& stage : stages) {
-    for (TaskKind task : stage.tasks) {
-      if (task == TaskKind::kRv || task == TaskKind::kPp ||
-          task == TaskKind::kSd) {
-        continue;
-      }
-      runtime_->RunRangeTask(task, batch, 0, batch->size());
-    }
+void LivePipeline::ExecuteStage(size_t lane, bool degraded, QueryBatch* batch,
+                                std::chrono::steady_clock::time_point start,
+                                uint64_t trace_start) {
+  const std::span<const StageSpec> stages =
+      degraded ? std::span<const StageSpec>(degraded_stages_)
+               : std::span<const StageSpec>(&stages_[lane], 1);
+  const StageMetrics& metrics =
+      degraded ? degraded_metrics_ : stage_metrics_[lane];
+  std::atomic<uint64_t>& heartbeat = health_[lane]->heartbeat;
+  obs::TraceCollector* trace = options_.trace;
+  const bool tracing = trace != nullptr && trace->enabled();
+  const uint32_t tid = static_cast<uint32_t>(lane);
+  std::string device_args;
+  uint64_t task_start = 0;
+  if (tracing) {
+    const std::string_view device = DeviceName(stages.front().device);
+    // dido-analyze: allow(hot): span args, built once per batch and only
+    // while tracing is on.
+    device_args = "\"device\":" + obs::TraceJsonString(device);
+    task_start = trace->NowMicros();
   }
+  for (const StageSpec& stage : stages) {
+    runtime_->RunStage(stage, batch, [&](TaskKind task) {
+      // Relaxed: watchdog liveness signal, see StageHealth.
+      heartbeat.fetch_add(1, std::memory_order_relaxed);
+      if (!tracing) return;
+      // dido-analyze: allow(hot): per-task trace emission, only while
+      // tracing is on.
+      TraceComplete(trace, std::string(TaskKindName(task)), "task",
+                    task_start, tid, device_args);
+      task_start = trace->NowMicros();
+    });
+  }
+
+  const double execute_us =
+      MicrosBetween(start, std::chrono::steady_clock::now());
+  if (lane < BatchObs::kMaxStages) {
+    batch->obs.stage_execute_us[lane] = execute_us;
+  }
+  Observe(metrics.execute_us, execute_us);
+  Bump(metrics.batches);
+  if (!tracing) return;
+  // dido-analyze: begin-allow(hot): per-batch stage span, only while
+  // tracing is on.
+  TraceComplete(trace,
+                degraded ? "degraded_inline" : "stage" + std::to_string(lane),
+                "stage", trace_start, tid,
+                device_args + ",\"queries\":" +
+                    std::to_string(batch->measurements.num_queries));
+  // dido-analyze: end-allow(hot)
 }
 
 void LivePipeline::RetireAndCount(QueryBatch* batch, bool degraded_inline) {
@@ -355,7 +388,6 @@ void LivePipeline::RetireAndCount(QueryBatch* batch, bool degraded_inline) {
   Bump(error_responses_counter_, m.error_responses);
   Bump(log_append_failures_counter_, m.log_append_failures);
   if (durable_timeout) Bump(durable_timeouts_counter_);
-  if (degraded_inline) Bump(degraded_batches_counter_);
   ObserveDrift(*batch);
   MutexLock lock(stats_mu_);
   stats_.batches += 1;
@@ -419,38 +451,16 @@ void LivePipeline::IngressLoop(TrafficSource* source) {
     }
 
     // Relaxed: failover flag, see degraded().
-    if (degraded_.load(std::memory_order_relaxed) && !queues_.empty()) {
-      // Failed over: execute the whole chain inline under the degraded
-      // CPU-only configuration, bypassing the stalled stage graph.
-      batch->config = options_.degraded_config;
-      RunStagesInline(degraded_stages_, batch.get());
-      // The whole degraded chain is one inline "stage" for drift purposes.
+    const bool degraded =
+        degraded_.load(std::memory_order_relaxed) && !queues_.empty();
+    if (degraded || queues_.empty()) {
+      // Inline, retire inline: a single-stage pipeline's one stage, or,
+      // failed over, the whole degraded CPU-only chain, bypassing the
+      // stalled stage graph.  Either is one "stage" for drift purposes.
+      if (degraded) batch->config = options_.degraded_config;
+      ExecuteStage(0, degraded, batch.get(), ingest_start, trace_start);
       batch->obs.num_stages = 1;
-      batch->obs.stage_execute_us[0] =
-          MicrosBetween(ingest_start, Clock::now());
-      Observe(degraded_execute_us_, batch->obs.stage_execute_us[0]);
-      TraceComplete(trace, "degraded_inline", "stage", trace_start, 0,
-                    "\"device\":\"CPU\",\"queries\":" +
-                        std::to_string(batch->measurements.num_queries));
-      RetireAndCount(batch.get(), /*degraded_inline=*/true);
-      RecycleBatch(std::move(batch));
-      continue;
-    }
-
-    if (queues_.empty()) {
-      // Single-stage pipeline: the one stage runs inline, retire inline.
-      RunStagesInline(stages_, batch.get());
-      batch->obs.num_stages = 1;
-      batch->obs.stage_execute_us[0] =
-          MicrosBetween(ingest_start, Clock::now());
-      if (!stage_metrics_.empty()) {
-        Observe(stage_metrics_[0].execute_us, batch->obs.stage_execute_us[0]);
-        Bump(stage_metrics_[0].batches);
-      }
-      TraceComplete(trace, "stage0", "stage", trace_start, 0,
-                    "\"device\":\"CPU\",\"queries\":" +
-                        std::to_string(batch->measurements.num_queries));
-      RetireAndCount(batch.get(), /*degraded_inline=*/false);
+      RetireAndCount(batch.get(), degraded);
       RecycleBatch(std::move(batch));
       continue;
     }
@@ -477,41 +487,22 @@ void LivePipeline::IngressLoop(TrafficSource* source) {
       RecycleBatch(std::move(batch));
       continue;
     }
+    const Clock::time_point admission_end = Clock::now();
     const double admission_wait_us =
-        MicrosBetween(admission_start, Clock::now());
+        MicrosBetween(admission_start, admission_end);
     batch->obs.stage_queue_wait_us[0] = admission_wait_us;
-    if (!stage_metrics_.empty()) {
-      Observe(stage_metrics_[0].queue_wait_us, admission_wait_us);
-    }
+    Observe(stage_metrics_[0].queue_wait_us, admission_wait_us);
     if (admission_wait_us >= 1.0) {
       TraceComplete(trace, "admission_wait", "queue", admission_trace_start,
                     0);
     }
 
-    // Stage-0 tasks.
-    for (TaskKind task : stages_[0].tasks) {
-      if (task == TaskKind::kRv || task == TaskKind::kPp ||
-          task == TaskKind::kSd) {
-        continue;
-      }
-      const uint64_t task_trace_start =
-          trace != nullptr && trace->enabled() ? trace->NowMicros() : 0;
-      runtime_->RunRangeTask(task, batch.get(), 0, batch->size());
-      TraceComplete(trace, std::string(TaskKindName(task)), "task",
-                    task_trace_start, 0, "\"device\":\"CPU\"");
-    }
     // Stage 0 execute = RV + PP + its KV tasks, exclusive of the admission
     // wait measured above.
+    ExecuteStage(0, /*degraded=*/false, batch.get(),
+                 ingest_start + (admission_end - admission_start),
+                 trace_start);
     batch->obs.num_stages = stages_.size();
-    batch->obs.stage_execute_us[0] =
-        MicrosBetween(ingest_start, Clock::now()) - admission_wait_us;
-    if (!stage_metrics_.empty()) {
-      Observe(stage_metrics_[0].execute_us, batch->obs.stage_execute_us[0]);
-      Bump(stage_metrics_[0].batches);
-    }
-    TraceComplete(trace, "stage0", "stage", trace_start, 0,
-                  "\"device\":\"CPU\",\"queries\":" +
-                      std::to_string(batch->measurements.num_queries));
     batch->obs.enqueued_at = Clock::now();
     if (!queues_[0]->Push(std::move(batch))) break;
   }
@@ -532,10 +523,6 @@ void LivePipeline::StageLoop(size_t stage_index) {
   StageHealth& health = *health_[stage_index];
   obs::TraceCollector* trace = options_.trace;
   const uint32_t lane = static_cast<uint32_t>(stage_index);
-  const std::string device(DeviceName(stages_[stage_index].device));
-  // dido-analyze: allow(hot): one-time per-thread setup before the batch
-  // loop; trace-string construction never recurs per query.
-  const std::string device_args = "\"device\":" + obs::TraceJsonString(device);
 
   for (;;) {
     // dido-analyze: allow(hot): the queue pop IS the stage-coupling
@@ -559,9 +546,7 @@ void LivePipeline::StageLoop(size_t stage_index) {
     if (stage_index < BatchObs::kMaxStages) {
       batch->obs.stage_queue_wait_us[stage_index] = queue_wait_us;
     }
-    Observe(stage_metrics_.empty() ? nullptr
-                                   : stage_metrics_[stage_index].queue_wait_us,
-            queue_wait_us);
+    Observe(stage_metrics_[stage_index].queue_wait_us, queue_wait_us);
     if (trace != nullptr && trace->enabled()) {
       obs::TraceSpan span;
       span.name = "queue_wait";
@@ -588,37 +573,8 @@ void LivePipeline::StageLoop(size_t stage_index) {
           std::chrono::milliseconds(static_cast<int64_t>(hit.param)));
     }
 
-    for (TaskKind task : stages_[stage_index].tasks) {
-      if (task == TaskKind::kRv || task == TaskKind::kPp ||
-          task == TaskKind::kSd) {
-        continue;  // SD is the final hand-off below
-      }
-      const uint64_t task_trace_start =
-          trace != nullptr && trace->enabled() ? trace->NowMicros() : 0;
-      runtime_->RunRangeTask(task, batch.get(), 0, batch->size());
-      // dido-analyze: allow(hot): per-task trace emission — opt-in
-      // (TraceComplete no-ops when tracing is off) and per-batch.
-      TraceComplete(trace, std::string(TaskKindName(task)), "task",
-                    task_trace_start, lane, device_args);
-      // Relaxed: watchdog liveness signal, see StageHealth.
-      health.heartbeat.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    const double execute_us = MicrosBetween(execute_start, Clock::now());
-    if (stage_index < BatchObs::kMaxStages) {
-      batch->obs.stage_execute_us[stage_index] = execute_us;
-    }
-    if (!stage_metrics_.empty()) {
-      Observe(stage_metrics_[stage_index].execute_us, execute_us);
-      Bump(stage_metrics_[stage_index].batches);
-    }
-    // dido-analyze: begin-allow(hot): per-batch stage span — trace string
-    // assembly and emission are opt-in and amortized over the batch.
-    TraceComplete(trace, "stage" + std::to_string(stage_index), "stage",
-                  stage_trace_start, lane,
-                  device_args + ",\"queries\":" +
-                      std::to_string(batch->measurements.num_queries));
-    // dido-analyze: end-allow(hot)
+    ExecuteStage(stage_index, /*degraded=*/false, batch.get(), execute_start,
+                 stage_trace_start);
 
     if (!is_last) {
       batch->obs.enqueued_at = Clock::now();

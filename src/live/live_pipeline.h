@@ -253,10 +253,16 @@ class LivePipeline {
   // empty rather than pretending the loop is pure.
   void StageLoop(size_t stage_index) DIDO_HOT DIDO_MUST_RESPOND;
   void WatchdogLoop();
-  // Runs every KV task of `stages` on the whole batch inline on the calling
-  // thread (RV/PP/SD excluded), in stage order.
-  void RunStagesInline(const std::vector<StageSpec>& stages,
-                       QueryBatch* batch);
+  // Runs stage `lane`'s tasks on `batch` on the calling thread, which owns
+  // trace lane and health block `lane`; with `degraded`, runs the whole
+  // degraded chain instead (lane 0, ingress thread).  Bumps the heartbeat
+  // and emits a task span per task, then records the execute time since
+  // `start` into batch->obs and the stage metrics and emits the stage span
+  // from `trace_start`.  Stage 0 on the ingress thread, every stage thread
+  // and the ingress inline branch all execute a batch through it.
+  void ExecuteStage(size_t lane, bool degraded, QueryBatch* batch,
+                    std::chrono::steady_clock::time_point start,
+                    uint64_t trace_start);
   // SD + retire + stats accounting shared by the last stage thread and the
   // ingress thread's inline (single-stage / degraded) paths.
   void RetireAndCount(QueryBatch* batch, bool degraded_inline);
@@ -322,8 +328,9 @@ class LivePipeline {
   };
   // dido-analyze: begin-allow(lock): set once at construction, then read-only
   std::vector<StageMetrics> stage_metrics_;   // indexed by stage
+  // The degraded inline chain: execute time and degraded batch count.
+  StageMetrics degraded_metrics_;
   std::vector<obs::Gauge*> queue_depth_gauges_;  // gauge i = queues_[i]
-  obs::AtomicHistogram* degraded_execute_us_ = nullptr;
   obs::Counter* batches_retired_counter_ = nullptr;
   obs::Counter* queries_retired_counter_ = nullptr;
   obs::Counter* ingested_queries_counter_ = nullptr;
@@ -336,7 +343,6 @@ class LivePipeline {
   obs::Counter* durable_timeouts_counter_ = nullptr;
   obs::Counter* failovers_counter_ = nullptr;
   obs::Counter* repromotions_counter_ = nullptr;
-  obs::Counter* degraded_batches_counter_ = nullptr;
   obs::Gauge* degraded_gauge_ = nullptr;
   std::unique_ptr<obs::CostDriftTracker> drift_;
   // dido-analyze: end-allow(lock)

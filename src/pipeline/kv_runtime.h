@@ -137,10 +137,26 @@ class KvRuntime {
   void RunWriteResponse(QueryBatch* batch, size_t begin, size_t end)
       DIDO_MUST_RESPOND;
 
-  // Dispatches a range task by kind (used by the executor and by work
-  // stealing).  RV/PP/SD are not dispatchable here.
+  // Dispatches a range task by kind.  RV/PP/SD are not dispatchable here.
   void RunRangeTask(TaskKind task, QueryBatch* batch, size_t begin,
                     size_t end);
+
+  // Runs `stage`'s range tasks (IsRangeTask) over the whole batch, in stage
+  // order, and calls `on_task(task)` after each one.  The one task loop:
+  // the simulator, the live stage threads and the live inline paths all run
+  // a stage through it.  The hook is a template parameter, so a no-op hook
+  // compiles away.
+  template <typename OnTask>
+  void RunStage(const StageSpec& stage, QueryBatch* batch, OnTask&& on_task) {
+    for (TaskKind task : stage.tasks) {
+      if (!IsRangeTask(task)) continue;
+      RunRangeTask(task, batch, 0, batch->size());
+      on_task(task);
+    }
+  }
+  void RunStage(const StageSpec& stage, QueryBatch* batch) {
+    RunStage(stage, batch, [](TaskKind) {});
+  }
 
   // Retires the batch: releases its epoch pin (making everything the batch
   // unlinked reclaimable two advances later), finalizes probe averages in

@@ -14,22 +14,10 @@
 namespace dido {
 namespace {
 
-// Tasks a thief may take over during work stealing.  RV/PP/SD touch NIC
-// rings and frame buffers owned by the host-side threads and stay with the
-// stage owner.  A GPU thief is further restricted to the query-processing
-// kernels it has code for (index operations, key comparison, value reads) —
-// it cannot run the slab allocator or response framing.
+// Tasks a thief may take over during work stealing: range tasks only, and
+// a GPU thief only those it has kernels for.
 bool StealEligible(TaskKind task, Device thief) {
-  if (task == TaskKind::kRv || task == TaskKind::kPp ||
-      task == TaskKind::kSd) {
-    return false;
-  }
-  if (thief == Device::kGpu) {
-    return task == TaskKind::kInSearch || task == TaskKind::kInInsert ||
-           task == TaskKind::kInDelete || task == TaskKind::kKc ||
-           task == TaskKind::kRd;
-  }
-  return true;
+  return thief == Device::kGpu ? IsGpuKernelTask(task) : IsRangeTask(task);
 }
 
 }  // namespace
@@ -57,16 +45,6 @@ WorkloadProfileData ProfileFromBatch(const QueryBatch& batch,
   if (m.search_probes > 0) profile.search_probes = m.search_probes;
   if (m.insert_probes > 0) profile.insert_probes = m.insert_probes;
   if (m.delete_probes > 0) profile.delete_probes = m.delete_probes;
-  return profile;
-}
-
-WorkloadProfileData MeasuredProfile(const QueryBatch& batch,
-                                    const WorkloadGenerator& generator,
-                                    const KvRuntime& runtime) {
-  WorkloadProfileData profile = ProfileFromBatch(batch, runtime);
-  const WorkloadSpec& spec = generator.spec();
-  profile.zipf = spec.distribution == KeyDistribution::kZipf;
-  profile.zipf_skew = spec.zipf_skew;
   return profile;
 }
 
@@ -114,15 +92,8 @@ BatchResult PipelineExecutor::RunBatch(const PipelineConfig& config,
   DIDO_CHECK(pp_status.ok()) << pp_status.ToString();
 
   // Remaining tasks in stage order, executed for real over the full range.
-  const std::vector<StageSpec> stages = config.Stages(spec_.cpu.cores);
-  for (const StageSpec& stage : stages) {
-    for (TaskKind task : stage.tasks) {
-      if (task == TaskKind::kRv || task == TaskKind::kPp ||
-          task == TaskKind::kSd) {
-        continue;  // RV/PP handled above; SD below
-      }
-      runtime_->RunRangeTask(task, &batch, 0, batch.size());
-    }
+  for (const StageSpec& stage : config.Stages(spec_.cpu.cores)) {
+    runtime_->RunStage(stage, &batch);
   }
   runtime_->RetireBatch(&batch);
   if (responses != nullptr) {
@@ -133,8 +104,11 @@ BatchResult PipelineExecutor::RunBatch(const PipelineConfig& config,
   BatchResult result;
   result.batch_size = batch.size();
   result.measurements = batch.measurements;
-  result.measured_profile =
-      MeasuredProfile(batch, source.generator(), *runtime_);
+  result.measured_profile = ProfileFromBatch(batch, *runtime_);
+  const WorkloadSpec& workload = source.generator().spec();
+  result.measured_profile.zipf =
+      workload.distribution == KeyDistribution::kZipf;
+  result.measured_profile.zipf_skew = workload.zipf_skew;
   ComputeTimings(config, result.measured_profile, &result);
   if (config.work_stealing) {
     ApplyWorkStealing(config, result.measured_profile, &result);

@@ -179,16 +179,10 @@ class PipelineExecutor {
 // Builds the measured workload profile of an executed batch from the batch's
 // own counters and the runtime's live-object count alone — usable wherever no
 // WorkloadGenerator exists (e.g. the live pipeline observing wire traffic).
-// The distribution fields (zipf, zipf_skew) are left at their defaults.
+// The distribution fields (zipf, zipf_skew) are left at their defaults; the
+// simulator fills them from its generator's spec.
 WorkloadProfileData ProfileFromBatch(const QueryBatch& batch,
                                      const KvRuntime& runtime);
-
-// Builds the measured workload profile of an executed batch: counters from
-// the batch itself, popularity truth from the generator, and live-object
-// count from the runtime.
-WorkloadProfileData MeasuredProfile(const QueryBatch& batch,
-                                    const WorkloadGenerator& generator,
-                                    const KvRuntime& runtime);
 
 }  // namespace dido
 

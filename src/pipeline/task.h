@@ -46,6 +46,24 @@ constexpr bool IsFloatingTask(TaskKind task) {
   return task == TaskKind::kInInsert || task == TaskKind::kInDelete;
 }
 
+// True for the tasks that run over a query range [begin, end) of a parsed
+// batch.  RV/PP/SD touch NIC rings and frame buffers as a whole: they stay
+// with the threads that own them, are never stolen, and are not run by
+// KvRuntime::RunStage.
+constexpr bool IsRangeTask(TaskKind task) {
+  return task != TaskKind::kRv && task != TaskKind::kPp &&
+         task != TaskKind::kSd;
+}
+
+// True for the tasks the GPU has kernels for: the index operations, key
+// comparison and value reads.  It cannot run the slab allocator or
+// response framing.
+constexpr bool IsGpuKernelTask(TaskKind task) {
+  return task == TaskKind::kInSearch || task == TaskKind::kInInsert ||
+         task == TaskKind::kInDelete || task == TaskKind::kKc ||
+         task == TaskKind::kRd;
+}
+
 }  // namespace dido
 
 #endif  // DIDO_PIPELINE_TASK_H_

@@ -1,6 +1,6 @@
 // Analyzer fixture — NOT compiled.  Seeded hot-path purity violations: a
 // DIDO_HOT kernel that locks, allocates, and (transitively, through a
-// CamelCase helper the call-graph walk must follow) blocks.
+// CamelCase helper and a function template) blocks and allocates.
 
 void SpinBackoff() {
   std::this_thread::sleep_for(  // expect: [hot] blocking wait (transitive)
@@ -14,4 +14,11 @@ void RunHotKernel(int v) {
   g_log.push_back(v);                      // expect: [hot] heap allocation
   g_log_ptr->resize(v);                    // expect: [hot] (through ->)
   SpinBackoff();
+  ForEachItem(v, [](int) {});
+}
+
+template <typename Hook>
+void ForEachItem(int n, Hook&& hook) {
+  g_items.reserve(n);  // expect: [hot] heap allocation (template)
+  for (int i = 0; i < n; ++i) hook(i);
 }

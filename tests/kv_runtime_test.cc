@@ -50,13 +50,7 @@ void RunBatchInto(KvRuntime& runtime, const PipelineConfig& config,
   }
   EXPECT_TRUE(runtime.RunPacketProcessing(batch).ok());
   for (const StageSpec& stage : config.Stages(4)) {
-    for (TaskKind task : stage.tasks) {
-      if (task == TaskKind::kRv || task == TaskKind::kPp ||
-          task == TaskKind::kSd) {
-        continue;
-      }
-      runtime.RunRangeTask(task, batch, 0, batch->size());
-    }
+    runtime.RunStage(stage, batch);
   }
   runtime.RetireBatch(batch);
 }

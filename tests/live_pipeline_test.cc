@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "live/live_pipeline.h"
+#include "obs/trace.h"
 
 namespace dido {
 namespace {
@@ -198,6 +199,84 @@ TEST(LivePipelineTest, PureCpuSingleStageWorks) {
   RunFor(pipeline, f.source.get(), 100);
   EXPECT_GT(pipeline.Collect().queries, 1000u);
   EXPECT_EQ(pipeline.Collect().misses, 0u);
+}
+
+// Serves a few hundred traced batches and checks the span layout the
+// in-situ task metrics are read from: on each lane, the task spans one
+// thread emits between two stage spans are exactly the range tasks of the
+// lane's StageSpec, in order, and lie inside the stage span that follows
+// them; admission_wait appears only on lane 0, inside stage0.
+void ExpectStageSpansHoldTheirTasks(const PipelineConfig& config) {
+  LiveFixture f(MakeWorkload(DatasetK16(), 95, KeyDistribution::kZipf));
+  obs::TraceCollector trace(1 << 20);
+  LivePipeline::Options options;
+  options.batch_queries = 256;
+  options.watchdog = false;          // no failover to the degraded chain
+  options.admission_timeout_ms = 0;  // no shedding
+  options.trace = &trace;
+  LivePipeline pipeline(f.runtime.get(), config, options);
+  ASSERT_TRUE(pipeline.Start(f.source.get()).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (pipeline.Collect().batches < 300 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  pipeline.Stop();
+  const uint64_t batches = pipeline.Collect().batches;
+  ASSERT_GE(batches, 300u);
+  ASSERT_EQ(trace.dropped(), 0u);
+
+  const std::vector<StageSpec> stages = config.Stages(4);
+  std::vector<std::vector<std::string>> expected(stages.size());
+  for (size_t lane = 0; lane < stages.size(); ++lane) {
+    for (TaskKind task : stages[lane].tasks) {
+      if (IsRangeTask(task)) {
+        expected[lane].push_back(std::string(TaskKindName(task)));
+      }
+    }
+  }
+  // Spans are recorded in emission order, and each lane has one thread.
+  std::vector<std::vector<obs::TraceSpan>> pending(stages.size());
+  std::vector<uint64_t> stage_spans(stages.size(), 0);
+  for (const obs::TraceSpan& span : trace.Snapshot()) {
+    if (span.name == "admission_wait") {
+      EXPECT_EQ(span.tid, 0u);
+    }
+    if (span.category != "task" && span.category != "stage" &&
+        span.name != "admission_wait") {
+      continue;
+    }
+    ASSERT_LT(span.tid, stages.size()) << span.name;
+    std::vector<obs::TraceSpan>& children = pending[span.tid];
+    if (span.category != "stage") {
+      children.push_back(span);
+      continue;
+    }
+    EXPECT_EQ(span.name, "stage" + std::to_string(span.tid));
+    std::vector<std::string> tasks;
+    for (const obs::TraceSpan& child : children) {
+      EXPECT_GE(child.ts_us, span.ts_us) << child.name;
+      EXPECT_LE(child.ts_us + child.dur_us, span.ts_us + span.dur_us)
+          << child.name;
+      if (child.category == "task") tasks.push_back(child.name);
+    }
+    EXPECT_EQ(tasks, expected[span.tid]) << span.name;
+    children.clear();
+    stage_spans[span.tid] += 1;
+  }
+  for (size_t lane = 0; lane < stages.size(); ++lane) {
+    EXPECT_TRUE(pending[lane].empty()) << "lane " << lane;
+    EXPECT_EQ(stage_spans[lane], batches) << "lane " << lane;
+  }
+}
+
+TEST(LivePipelineTest, CpuOnlyTraceNestsTasksInTheirStage) {
+  ExpectStageSpansHoldTheirTasks(PipelineConfig::CpuOnly());
+}
+
+TEST(LivePipelineTest, MegaKvTraceNestsTasksInTheirStage) {
+  ExpectStageSpansHoldTheirTasks(PipelineConfig::MegaKv());
 }
 
 TEST(LivePipelineTest, DoubleStartFailsAndRestartWorks) {

@@ -184,6 +184,25 @@ def _collect_decl_markers(model, sf):
             model.add_decl_marker(m.group(1), marker)
 
 
+def _strip_template_prefix(head):
+    """`template <...> void F(...)` -> `void F(...)`; other heads unchanged.
+
+    The angle brackets are matched with nesting, so defaulted template
+    arguments like `typename = std::enable_if_t<...>` stay inside.
+    """
+    if not re.match(r"template\s*<", head):
+        return head
+    depth = 0
+    for i, ch in enumerate(head):
+        if ch == "<":
+            depth += 1
+        elif ch == ">":
+            depth -= 1
+            if depth == 0:
+                return head[i + 1:].strip()
+    return head
+
+
 def _head_function_name(head):
     """Function (or ctor) name from a `{`-opening statement head, or None."""
     first = head.split(None, 1)[0] if head.split() else ""
@@ -257,7 +276,10 @@ def _parse_file(model, sf):
                     scopes.append(_Scope("block"))
                     buf.append(ch)
                     continue
-                name = _head_function_name(head)
+                # A function template is modeled like the function it
+                # stamps out; a class template stays an opaque block.
+                decl = _strip_template_prefix(head)
+                name = _head_function_name(decl)
                 first = head.split(None, 1)[0] if head.split() else ""
                 if first in ("class", "struct") and name is None:
                     m = re.match(r"(?:class|struct)\s+(?:\w+\s+)*?(\w+)",
@@ -268,7 +290,7 @@ def _parse_file(model, sf):
                     m = re.match(r"namespace\s+([\w:]+)?", head)
                     scopes.append(
                         _Scope("namespace", m.group(1) if m else None))
-                elif name is not None and "=" not in head.split("(")[0]:
+                elif name is not None and "=" not in decl.split("(")[0]:
                     qual = name
                     if "::" not in name and class_name():
                         qual = f"{class_name()}::{name}"
