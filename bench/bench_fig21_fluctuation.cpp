@@ -111,7 +111,7 @@ int main() {
     const double duration_us =
         std::max(std::min(4.0 * phase_us, 120000.0), 2.0 * phase_us);
 
-    auto build_sessions = [&](auto& store, WorkloadSession*& sa,
+    auto build_sessions = [&](DidoStore& store, WorkloadSession*& sa,
                               WorkloadSession*& sb) {
       const uint64_t k8 = store.Preload(
           DatasetK8(),
@@ -135,7 +135,8 @@ int main() {
         [&](TrafficSource& src) { return dido.ServeBatch(src, 2500); },
         *da->source, *db->source, phase_us, duration_us);
 
-    MegaKvStore megakv(options, ExperimentSpec(experiment));
+    DidoStore megakv(MegaKvCoupledOptions(options),
+                     ExperimentSpec(experiment));
     WorkloadSession* ma = nullptr;
     WorkloadSession* mb = nullptr;
     build_sessions(megakv, ma, mb);

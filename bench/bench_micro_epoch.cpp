@@ -1,9 +1,9 @@
 // Wall-clock micro-benchmarks (google-benchmark) of the epoch-based
 // reclamation subsystem: the raw pin/unpin cost on both the registered
 // slot path and the shared-refcount fallback, the GET path with and
-// without its EpochGuard, and the SET-with-eviction path comparing the
-// legacy inline-reuse baseline against epoch-mode detach/quarantine.
-// These document the overhead EBR adds to the store's hot paths.
+// without its EpochGuard, and KvRuntime::Put on a full store, where every
+// SET detaches, unlinks and quarantines a victim.  These document the
+// overhead EBR adds to the store's hot paths.
 
 #include <benchmark/benchmark.h>
 
@@ -12,8 +12,8 @@
 
 #include "common/random.h"
 #include "index/cuckoo_hash_table.h"
-#include "mem/memory_manager.h"
 #include "mem/slab_allocator.h"
+#include "pipeline/kv_runtime.h"
 #include "sync/epoch.h"
 
 namespace dido {
@@ -131,72 +131,24 @@ BENCHMARK(BM_GetHit_EpochGuardShared);
 
 // ---------------------------------------------------- SET (evict) path --
 
-// Both variants run distinct keys through an arena small enough that every
-// steady-state SET evicts, including the paired index unlink — the full
-// MM + IN.D cost of a SET under memory pressure.  2 MiB holds ~16k of
-// these objects, so eviction is the steady state almost immediately.
-SlabAllocator::Options SetSlab() {
-  SlabAllocator::Options options;
-  options.arena_bytes = 2 << 20;
-  return options;
-}
-
-void BM_SetEvict_InlineReuseBaseline(benchmark::State& state) {
-  MemoryManager manager(SetSlab());  // legacy mode: no epoch bound
-  CuckooHashTable index(GetFixture::Index());
-  std::vector<SlabAllocator::EvictedObject> evictions;
-  uint64_t i = 0;
-  for (auto _ : state) {
-    const std::string key = "bench-set-key-" + std::to_string(i++);
-    evictions.clear();
-    Result<KvObject*> object =
-        manager.AllocateObject(key, "value-payload", 0, &evictions);
-    for (const SlabAllocator::EvictedObject& victim : evictions) {
-      index.Remove(CuckooHashTable::HashKey(victim.key), victim.stale_ptr)
-          .ok();
-    }
-    index.Insert(CuckooHashTable::HashKey(key), *object, nullptr).ok();
-    SlabAllocator::Publish(*object);
-  }
-}
-
+// KvRuntime::Put of distinct keys into a full 2 MiB arena, so every timed
+// SET evicts: the store's own detach, unlink, retire, reclaim and retry
+// cycle plus the Insert that publishes the new object — the full MM + IN.I
+// + IN.D cost of a SET under memory pressure.
 void BM_SetEvict_EpochQuarantine(benchmark::State& state) {
-  // Declared before the epoch manager: the drain its destructor performs
-  // runs the deleters against a still-live manager.
-  MemoryManager manager(SetSlab());
-  CuckooHashTable index(GetFixture::Index());
-  EpochManager epoch;
-  manager.set_epoch_manager(&epoch);
-  std::vector<SlabAllocator::EvictedObject> evictions;
+  KvRuntime::Options options;
+  options.slab.arena_bytes = 2 << 20;
+  options.index = GetFixture::Index();
+  KvRuntime runtime(options);
   uint64_t i = 0;
+  while (runtime.memory().counters().evictions == 0) {
+    runtime.Put("bench-set-key-" + std::to_string(i++), "value-payload").ok();
+  }
   for (auto _ : state) {
     const std::string key = "bench-set-key-" + std::to_string(i++);
-    evictions.clear();
-    // The KvRuntime::AllocateWithEviction cycle: detach, unlink, retire,
-    // reclaim, retry.
-    for (int attempt = 0; attempt < 64; ++attempt) {
-      const size_t first_new = evictions.size();
-      Result<KvObject*> object =
-          manager.AllocateObject(key, "value-payload", 0, &evictions);
-      for (size_t v = first_new; v < evictions.size(); ++v) {
-        index
-            .Remove(CuckooHashTable::HashKey(evictions[v].key),
-                    evictions[v].stale_ptr)
-            .ok();
-        manager.RetireDetached(evictions[v].stale_ptr);
-      }
-      if (object.ok()) {
-        index.Insert(CuckooHashTable::HashKey(key), *object, nullptr).ok();
-        SlabAllocator::Publish(*object);
-        break;
-      }
-      epoch.TryReclaim();
-    }
+    benchmark::DoNotOptimize(runtime.Put(key, "value-payload").ok());
   }
-  epoch.ReclaimAll();
 }
-
-BENCHMARK(BM_SetEvict_InlineReuseBaseline);
 BENCHMARK(BM_SetEvict_EpochQuarantine);
 
 }  // namespace

@@ -3,30 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
 #include "pipeline/task_costs.h"
 
 namespace dido {
 
-MegaKvStore::MegaKvStore(const DidoOptions& options, const ApuSpec& spec)
-    : runtime_(std::make_unique<KvRuntime>(MakeRuntimeOptions(options))),
-      executor_(std::make_unique<PipelineExecutor>(runtime_.get(), spec,
-                                                   options.executor)),
-      config_(PipelineConfig::MegaKv()) {}
-
-uint64_t MegaKvStore::Preload(const DatasetSpec& dataset,
-                              uint64_t target_objects) {
-  return runtime_->Preload(dataset, target_objects);
-}
-
-BatchResult MegaKvStore::ServeBatch(TrafficSource& source,
-                                    uint64_t target_queries) {
-  return executor_->RunBatch(config_, source, target_queries);
-}
-
-PipelineExecutor::SteadyState MegaKvStore::MeasureSteadyState(
-    TrafficSource& source, int measure_batches) {
-  return executor_->RunSteadyState(config_, source, measure_batches);
+DidoOptions MegaKvCoupledOptions(DidoOptions options) {
+  options.adaptive = false;
+  options.work_stealing = false;
+  options.initial_config = PipelineConfig::MegaKv();
+  return options;
 }
 
 std::optional<double> MegaKvDiscretePaperMops(

@@ -1,43 +1,22 @@
 #ifndef DIDO_CORE_MEGAKV_STORE_H_
 #define DIDO_CORE_MEGAKV_STORE_H_
 
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "core/dido_store.h"
-#include "pipeline/pipeline_executor.h"
 
 namespace dido {
 
 // Mega-KV (Coupled): the state-of-the-art baseline the paper compares
 // against — Mega-KV's static pipeline ported to the coupled architecture.
-// The partitioning is fixed to [RV,PP,MM]cpu -> [IN]gpu -> [KC,RD,WR,SD]cpu
-// with all three index operations on the GPU, no profiler, no cost model,
-// and no work stealing.  It runs on exactly the same substrate (cuckoo
-// index, slab heap, APU timing model) as DIDO, so any throughput difference
-// is attributable to the dynamic-pipeline techniques.
-class MegaKvStore {
- public:
-  explicit MegaKvStore(const DidoOptions& options,
-                       const ApuSpec& spec = DefaultKaveriSpec());
-
-  uint64_t Preload(const DatasetSpec& dataset, uint64_t target_objects);
-
-  BatchResult ServeBatch(TrafficSource& source, uint64_t target_queries);
-
-  PipelineExecutor::SteadyState MeasureSteadyState(TrafficSource& source,
-                                                   int measure_batches = 5);
-
-  const PipelineConfig& config() const { return config_; }
-  KvRuntime& runtime() { return *runtime_; }
-  PipelineExecutor& executor() { return *executor_; }
-
- private:
-  std::unique_ptr<KvRuntime> runtime_;
-  std::unique_ptr<PipelineExecutor> executor_;
-  PipelineConfig config_;
-};
+// Returns `options` with the partitioning fixed to
+// [RV,PP,MM]cpu -> [IN]gpu -> [KC,RD,WR,SD]cpu (all three index operations
+// on the GPU), adaptation off and no work stealing.  A DidoStore built from
+// it runs on exactly the same substrate (cuckoo index, slab heap, APU
+// timing model) as DIDO, so any throughput difference is attributable to
+// the dynamic-pipeline techniques.
+DidoOptions MegaKvCoupledOptions(DidoOptions options);
 
 // Mega-KV (Discrete): throughput of the original discrete-GPU Mega-KV, as
 // reported in the DIDO paper's Fig. 16 (numbers digitized from the figure;

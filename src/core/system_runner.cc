@@ -88,16 +88,18 @@ SystemMeasurement MeasureDido(const WorkloadSpec& workload,
 
 SystemMeasurement MeasureMegaKvCoupled(const WorkloadSpec& workload,
                                        const ExperimentOptions& experiment) {
-  MegaKvStore store(MakeExperimentOptions(workload, experiment),
-                    ExperimentSpec(experiment));
+  DidoStore store(
+      MegaKvCoupledOptions(MakeExperimentOptions(workload, experiment)),
+      ExperimentSpec(experiment));
   const uint64_t target = PreloadTarget(
       workload.dataset, experiment.arena_bytes, experiment.preload_fraction);
   const uint64_t preloaded = store.Preload(workload.dataset, target);
   WorkloadSession session(workload, preloaded, experiment.workload_seed);
-  PipelineExecutor::SteadyState steady =
-      store.MeasureSteadyState(*session.source, experiment.measure_batches);
-  return FinishMeasurement(workload, "Mega-KV (Coupled)", store.config(),
-                           preloaded, std::move(steady));
+  PipelineExecutor::SteadyState steady = store.MeasureSteadyState(
+      *session.source, /*warmup_batches=*/0, experiment.measure_batches);
+  return FinishMeasurement(workload, "Mega-KV (Coupled)",
+                           store.current_config(), preloaded,
+                           std::move(steady));
 }
 
 SystemMeasurement MeasureFixedConfig(const WorkloadSpec& workload,

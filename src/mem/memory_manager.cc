@@ -11,11 +11,12 @@ namespace dido {
 Result<KvObject*> MemoryManager::AllocateObject(
     std::string_view key, std::string_view value, uint32_t version,
     std::vector<SlabAllocator::EvictedObject>* evictions) {
+  DIDO_CHECK(evictions != nullptr);
   FaultHit hit;
   if (DIDO_FAULT_POINT_HIT("mem.alloc.oom", &hit)) {
-    // Injected exhaustion.  In epoch mode this reads as the retryable
-    // quarantine condition (exercising the caller's retry loop); a window-
-    // armed fault outlasting the retry budget drives the give-up path.
+    // Injected exhaustion reads as the retryable quarantine condition
+    // (exercising the caller's retry loop); a window-armed fault outlasting
+    // the retry budget drives the give-up path.
     return Status::OutOfMemory("injected allocation failure");
   }
   // Victims are collected through a local out-param and counted one by one:
@@ -23,18 +24,15 @@ Result<KvObject*> MemoryManager::AllocateObject(
   // count from a shared vector's size delta would race.
   SlabAllocator::EvictedObject victim;
   Result<KvObject*> result = allocator_.Allocate(
-      key, value, version, &victim,
-      epoch_ != nullptr ? SlabAllocator::EvictionMode::kFail
-                        : SlabAllocator::EvictionMode::kReuseInline);
-  if (epoch_ != nullptr && !result.ok() &&
-      result.status().code() == StatusCode::kOutOfMemory) {
+      key, value, version, &victim, SlabAllocator::EvictionMode::kFail);
+  if (!result.ok() && result.status().code() == StatusCode::kOutOfMemory) {
     // Drain-first: quarantined chunks (earlier evictions, replaced SET
     // versions) are logically free — returning them is strictly better
     // than sacrificing a live object.  A full drain can take one advance
     // per generation, so try that many rounds before giving up; rounds cut
     // short by a pinned reader just come back 0 and fall through.
     for (uint64_t round = 0; round < EpochManager::kGenerations; ++round) {
-      epoch_->TryReclaim();
+      epoch_.TryReclaim();
       result = allocator_.Allocate(key, value, version, &victim,
                                    SlabAllocator::EvictionMode::kFail);
       if (result.ok()) break;
@@ -51,19 +49,12 @@ Result<KvObject*> MemoryManager::AllocateObject(
   if (victim.stale_ptr != nullptr) {
     // relaxed: monotonic statistic, orders nothing.
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (evictions != nullptr) {
-      evictions->push_back(std::move(victim));
-    } else {
-      // Epoch mode must surface the victim — somebody has to retire it.
-      DIDO_CHECK(epoch_ == nullptr)
-          << "epoch-mode AllocateObject requires an evictions out-param";
-    }
+    evictions->push_back(std::move(victim));
   }
   if (!result.ok()) {
-    // Epoch-mode kOutOfMemory is a retryable quarantine condition, not yet
-    // a failure (see header).
-    if (epoch_ == nullptr ||
-        result.status().code() != StatusCode::kOutOfMemory) {
+    // kOutOfMemory is a retryable quarantine condition, not yet a failure
+    // (see header).
+    if (result.status().code() != StatusCode::kOutOfMemory) {
       // relaxed: monotonic statistic, orders nothing.
       failed_allocations_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -74,26 +65,15 @@ Result<KvObject*> MemoryManager::AllocateObject(
   return result;
 }
 
-void MemoryManager::FreeObject(KvObject* object) {
-  allocator_.Free(object);
-  // relaxed: monotonic statistic, orders nothing.
-  frees_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void MemoryManager::RetireObject(KvObject* object) {
-  if (epoch_ == nullptr) {
-    FreeObject(object);
-    return;
-  }
   // Winner of the detach race owns the retirement; if an eviction got
   // there first, its path retires the object instead.
   if (!allocator_.TryDetach(object)) return;
-  epoch_->Retire(object, &MemoryManager::ReleaseDetachedThunk, this);
+  RetireDetached(object);
 }
 
 void MemoryManager::RetireDetached(KvObject* object) {
-  DIDO_CHECK(epoch_ != nullptr);
-  epoch_->Retire(object, &MemoryManager::ReleaseDetachedThunk, this);
+  epoch_.Retire(object, &MemoryManager::ReleaseDetachedThunk, this);
 }
 
 void MemoryManager::ReleaseDetachedThunk(void* ctx, void* ptr) {

@@ -32,25 +32,18 @@ class MemoryManager {
     uint64_t failed_allocations = 0;
   };
 
-  explicit MemoryManager(const SlabAllocator::Options& options)
-      : allocator_(options) {}
+  // Every retired object is quarantined in `epoch`.  Its drain runs this
+  // manager's deleter, so `epoch` must be drained or destroyed first.
+  MemoryManager(const SlabAllocator::Options& options, EpochManager& epoch)
+      : allocator_(options), epoch_(epoch) {}
 
-  // Binds an epoch manager, switching eviction and retirement from
-  // immediate chunk reuse (legacy mode: single-threaded tests, baseline
-  // benchmarks) to detach-and-quarantine.  Call before any concurrent use.
-  void set_epoch_manager(EpochManager* epoch) { epoch_ = epoch; }
-  EpochManager* epoch_manager() const { return epoch_; }
-
-  // Allocates storage for (key, value).  Evicted victims are appended to
-  // `evictions` so the caller can generate index Remove operations.
-  //
-  // In epoch mode, memory pressure first tries to drain quarantined chunks
-  // (TryReclaim) — a live object is only evicted when nothing is
-  // reclaimable.  Such an eviction does NOT satisfy this allocation: the
-  // victim is detached (appended to `evictions`, which must then be
-  // non-null) and kOutOfMemory is returned.  The caller must drop the victim's index
-  // entry, RetireDetached() it, and retry once the epoch manager has had a
-  // chance to drain (see KvRuntime::AllocateWithEviction).  Epoch-mode
+  // Allocates storage for (key, value).  Under memory pressure it first
+  // drains quarantined chunks (TryReclaim); a live object is only evicted
+  // when nothing is reclaimable.  Such an eviction does NOT satisfy this
+  // allocation: the victim is detached, appended to `evictions` (required
+  // non-null) and kOutOfMemory is returned.  The caller must drop the
+  // victim's index entry, RetireDetached() it, and retry once the epoch
+  // manager has had a chance to drain (see KvRuntime::AllocateWithEviction).
   // kOutOfMemory is therefore retryable and not counted as a failed
   // allocation; callers that give up call NoteAllocationFailure().
   Result<KvObject*> AllocateObject(
@@ -58,14 +51,11 @@ class MemoryManager {
       std::vector<SlabAllocator::EvictedObject>* evictions)
       DIDO_TRANSFERS_OWNERSHIP;
 
-  // Releases an object (DELETE query path, or replacing a SET).
-  void FreeObject(KvObject* object);
-
   // Deferred-reclamation entry point for an object just unlinked from the
   // index (replaced by a SET, removed by a DELETE, or never published
-  // because its Insert failed).  Epoch mode: detaches the object and
-  // quarantines it; a no-op when a concurrent eviction already detached it
-  // (the eviction path owns its retirement).  Legacy mode: immediate free.
+  // because its Insert failed): detaches the object and quarantines it.  A
+  // no-op when a concurrent eviction already detached it (the eviction
+  // path owns its retirement).
   //
   // Epoch contract: reads the victim's header (detach flag) while the
   // object may concurrently be evicted, so the caller must still hold the
@@ -74,11 +64,11 @@ class MemoryManager {
 
   // Quarantines an eviction victim that AllocateObject already detached.
   // Call only after the victim's stale index entry has been removed, so no
-  // new reader can reach it.  Epoch mode only.
+  // new reader can reach it.
   void RetireDetached(KvObject* object);
 
-  // Records a definitive allocation failure after epoch-mode retries were
-  // exhausted (AllocateObject does not count retryable kOutOfMemory).
+  // Records a definitive allocation failure after the eviction retries
+  // were exhausted (AllocateObject does not count retryable kOutOfMemory).
   void NoteAllocationFailure() {
     // relaxed: monotonic statistic, orders nothing.
     failed_allocations_.fetch_add(1, std::memory_order_relaxed);
@@ -117,7 +107,7 @@ class MemoryManager {
   static void ReleaseDetachedThunk(void* ctx, void* ptr);
 
   SlabAllocator allocator_;
-  EpochManager* epoch_ = nullptr;  // null = legacy immediate-reuse mode
+  EpochManager& epoch_;
   // Monotonic statistics only — never used to order allocator state, so
   // relaxed ordering is sufficient.
   std::atomic<uint64_t> allocations_{0};

@@ -104,26 +104,19 @@ Result<KvObject*> SlabAllocator::Allocate(std::string_view key,
     if (victim == nullptr) {
       return Status::OutOfMemory("class has no evictable object");
     }
-    if (evicted != nullptr) {
-      evicted->key.assign(victim->Key().data(), victim->Key().size());
-      evicted->stale_ptr = victim;
-    }
+    // The victim's storage may still be read through stale index
+    // candidates; keep it intact and let the caller route it through the
+    // epoch manager.  This allocation cannot be satisfied until
+    // ReleaseDetached hands the chunk back.
+    DIDO_CHECK(evicted != nullptr)
+        << "kDetach eviction requires an EvictedObject out-param";
+    evicted->key.assign(victim->Key().data(), victim->Key().size());
+    evicted->stale_ptr = victim;
+    victim->flags |= KvObject::kFlagDetached;
     cls.live_objects -= 1;
     cls.evictions += 1;
-    if (mode == EvictionMode::kDetach) {
-      // The victim's storage may still be read through stale index
-      // candidates; keep it intact and let the caller route it through
-      // the epoch manager.  This allocation cannot be satisfied until
-      // ReleaseDetached hands the chunk back.
-      DIDO_CHECK(evicted != nullptr)
-          << "kDetach eviction requires an EvictedObject out-param";
-      victim->flags |= KvObject::kFlagDetached;
-      cls.detached += 1;
-      return Status::OutOfMemory("eviction victim quarantined");
-    }
-    // KvObject is trivially destructible: the placement new below starts
-    // the new object's lifetime in the victim's chunk.
-    cls.free_chunks.push_back(reinterpret_cast<uint8_t*>(victim));
+    cls.detached += 1;
+    return Status::OutOfMemory("eviction victim quarantined");
   }
 
   uint8_t* chunk = cls.free_chunks.back();
@@ -141,10 +134,6 @@ Result<KvObject*> SlabAllocator::Allocate(std::string_view key,
 }
 
 void SlabAllocator::Free(KvObject* object) {
-  // dido-analyze: allow(hot): reachable from IN.I only through
-  // RetireObject's legacy (non-epoch) mode, where a replaced SET version
-  // is freed inline; the live pipeline always runs epoch mode and takes
-  // the quarantine path instead.
   MutexLock lock(mu_);
   DIDO_CHECK_EQ(object->flags & KvObject::kFlagDetached, 0)
       << "Free on a detached object; use ReleaseDetached";
@@ -152,9 +141,6 @@ void SlabAllocator::Free(KvObject* object) {
   cls.live_objects -= 1;
   // relaxed: read only by the hand, which runs under mu_ as well.
   object->clock.store(KvObject::kClockFree, std::memory_order_relaxed);
-  // dido-analyze: allow(hot): free-list push re-uses the chunk's own
-  // storage capacity in steady state (pop/push pairs); see the legacy-mode
-  // caveat on the lock above.
   cls.free_chunks.push_back(reinterpret_cast<uint8_t*>(object));
 }
 

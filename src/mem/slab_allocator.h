@@ -70,10 +70,6 @@ class SlabAllocator {
 
   // What Allocate does with an eviction victim when the arena is full.
   enum class EvictionMode {
-    // Destroy the victim and reuse its chunk for the new object in the
-    // same call.  Only safe when no concurrent reader can still hold the
-    // victim as an index candidate (single-threaded tests, benchmarks).
-    kReuseInline,
     // Take the victim out of eviction, mark it kFlagDetached, and
     // leave its storage intact: the caller owns reclamation (drop the
     // stale index entry, then EpochManager::Retire -> ReleaseDetached).
@@ -88,15 +84,14 @@ class SlabAllocator {
   };
 
   // Allocates and initializes an object for (key, value).  The object
-  // starts unpublished: no eviction picks it until Publish().  If the arena
-  // is full, the class's CLOCK hand picks a victim per `mode`, filling
-  // `evicted` (required non-null for kDetach, optional otherwise) so the
-  // caller can issue the corresponding index Delete.  Fails with
-  // kOutOfMemory if the class has no evictable object, or — in kDetach
-  // mode — whenever an eviction was needed (see EvictionMode).
+  // starts unpublished: no eviction picks it until Publish().  Fails with
+  // kOutOfMemory when the arena is full and the class has no free chunk;
+  // in kDetach mode the class's CLOCK hand first detaches a victim into
+  // `evicted` (required non-null) so the caller can issue the
+  // corresponding index Delete (see EvictionMode).
   Result<KvObject*> Allocate(std::string_view key, std::string_view value,
                              uint32_t version, EvictedObject* evicted,
-                             EvictionMode mode = EvictionMode::kReuseInline)
+                             EvictionMode mode = EvictionMode::kFail)
       DIDO_TRANSFERS_OWNERSHIP;
 
   // Returns the object's chunk to its class free list.  The pointer must

@@ -32,9 +32,7 @@ constexpr int kMaxInsertRetries = 8;
 
 KvRuntime::KvRuntime(const Options& options)
     : index_(std::make_unique<CuckooHashTable>(options.index)),
-      memory_(std::make_unique<MemoryManager>(options.slab)) {
-  memory_->set_epoch_manager(&epoch_);
-}
+      memory_(std::make_unique<MemoryManager>(options.slab, epoch_)) {}
 
 KvRuntime::~KvRuntime() { RegisterMetrics(nullptr); }
 
@@ -133,8 +131,6 @@ uint64_t KvRuntime::Preload(const DatasetSpec& dataset,
                             uint64_t target_objects) {
   std::vector<uint8_t> key_buffer(dataset.key_size);
   std::vector<uint8_t> value_buffer(dataset.value_size);
-  std::vector<SlabAllocator::EvictedObject> evictions;
-  uint64_t stored = 0;
   for (uint64_t i = 0; i < target_objects; ++i) {
     MaterializeKey(i, dataset.key_size, key_buffer.data());
     MaterializeValue(i, dataset.value_size, 0, value_buffer.data());
@@ -143,24 +139,7 @@ uint64_t KvRuntime::Preload(const DatasetSpec& dataset,
     const std::string_view value(
         reinterpret_cast<const char*>(value_buffer.data()),
         dataset.value_size);
-    evictions.clear();
-    // If preloading wraps the arena, victims' stale entries are dropped
-    // and the victims quarantined inside AllocateWithEviction.
-    Result<KvObject*> object = AllocateWithEviction(key, value, 0, &evictions);
-    if (!object.ok()) break;
-    // Pin scoped after AllocateWithEviction (see Put for the starvation
-    // hazard); Insert and RetireObject touch retire-able objects.
-    EpochGuard guard(epoch_);
-    KvObject* replaced = nullptr;
-    const Status status =
-        index_->Insert(CuckooHashTable::HashKey(key), *object, &replaced);
-    if (!status.ok()) {
-      memory_->RetireObject(*object);
-      break;
-    }
-    SlabAllocator::Publish(*object);
-    if (replaced != nullptr) memory_->RetireObject(replaced);
-    ++stored;
+    if (!ApplySet(key, value, 0).ok()) break;
   }
   return index_->LiveEntries();
 }
@@ -500,33 +479,39 @@ void KvRuntime::RetireBatch(QueryBatch* batch) {
                   : 0.0;
 }
 
-Status KvRuntime::Put(std::string_view key, std::string_view value) {
+Status KvRuntime::ApplySet(std::string_view key, std::string_view value,
+                           uint32_t version) {
   std::vector<SlabAllocator::EvictedObject> evictions;
-  // relaxed: versions only need to be distinct, not ordered across keys.
-  Result<KvObject*> object = AllocateWithEviction(
-      key, value, version_counter_.fetch_add(1, std::memory_order_relaxed) + 1,
-      &evictions);
+  Result<KvObject*> object =
+      AllocateWithEviction(key, value, version, &evictions);
   if (!object.ok()) return object.status();
-  {
-    // Pin AFTER allocation: holding a pin across AllocateWithEviction would
-    // block the epoch advances its own retry loop waits for
-    // (self-starvation).  From here the Insert probes (and may replace)
-    // retire-able objects.  Scoped so the durable wait below runs unpinned —
-    // a group-commit wait must not stall reclamation.
-    EpochGuard guard(epoch_);
-    KvObject* replaced = nullptr;
-    const Status status =
-        index_->Insert(CuckooHashTable::HashKey(key), *object, &replaced);
-    if (!status.ok()) {
-      memory_->RetireObject(*object);
-      return status;
-    }
-    SlabAllocator::Publish(*object);
-    if (replaced != nullptr) memory_->RetireObject(replaced);
+  // Pin AFTER allocation: holding a pin across AllocateWithEviction would
+  // block the epoch advances its own retry loop waits for
+  // (self-starvation).  From here the Insert probes (and may replace)
+  // retire-able objects.
+  EpochGuard guard(epoch_);
+  KvObject* replaced = nullptr;
+  const Status status =
+      index_->Insert(CuckooHashTable::HashKey(key), *object, &replaced);
+  if (!status.ok()) {
+    memory_->RetireObject(*object);
+    return status;
   }
+  SlabAllocator::Publish(*object);
+  if (replaced != nullptr) memory_->RetireObject(replaced);
+  return Status::Ok();
+}
+
+Status KvRuntime::Put(std::string_view key, std::string_view value) {
+  // relaxed: versions only need to be distinct, not ordered across keys.
+  const uint32_t version =
+      version_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
+  DIDO_RETURN_IF_ERROR(ApplySet(key, value, version));
   if (durability_ != nullptr) {
     // Direct API is write-through end to end: the call returns only after
     // the record is durable (or the bounded wait degrades, counted there).
+    // ApplySet's pin is already released, so a group-commit wait does not
+    // stall reclamation.
     durability_->WaitDurable(durability_->AppendSet(key, value));
   }
   return Status::Ok();

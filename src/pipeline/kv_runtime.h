@@ -186,7 +186,14 @@ class KvRuntime {
       std::vector<SlabAllocator::EvictedObject>* evictions,
       uint64_t* retries = nullptr) DIDO_TRANSFERS_OWNERSHIP;
 
+  // The direct (out-of-batch) SET shared by Put and Preload: allocates
+  // under eviction, then under a pin inserts, publishes, and retires the
+  // replaced version (or the new object, when its Insert fails).
+  Status ApplySet(std::string_view key, std::string_view value,
+                  uint32_t version);
+
   std::unique_ptr<CuckooHashTable> index_;
+  // Built before epoch_ (declared below) and only stores its reference.
   std::unique_ptr<MemoryManager> memory_;
   // Optional durability tier (not owned); null = volatile store (default).
   durability::DurabilityManager* durability_ = nullptr;

@@ -180,14 +180,15 @@ TEST(DidoStoreTest, AdaptsWhenWorkloadSwitches) {
 }
 
 TEST(MegaKvStoreTest, ServesTraffic) {
-  MegaKvStore store(SmallStore());
+  DidoStore store(MegaKvCoupledOptions(SmallStore()));
   const uint64_t objects = store.Preload(DatasetK16(), 10000);
   WorkloadSession session(
       MakeWorkload(DatasetK16(), 95, KeyDistribution::kZipf), objects, 1);
   const BatchResult result = store.ServeBatch(*session.source, 2000);
   EXPECT_EQ(result.measurements.misses, 0u);
   EXPECT_EQ(result.stolen_queries, 0u);  // no work stealing in the baseline
-  EXPECT_EQ(store.config().DeviceFor(TaskKind::kInSearch), Device::kGpu);
+  EXPECT_EQ(store.current_config().DeviceFor(TaskKind::kInSearch),
+            Device::kGpu);
 }
 
 TEST(SystemRunnerTest, PreloadTargetScalesWithObjectSize) {

@@ -119,7 +119,7 @@ TEST(IntegrationTest, MegaKvAndDidoAgreeFunctionally) {
       MakeWorkload(DatasetK32(), 95, KeyDistribution::kZipf);
   DidoOptions options = MakeExperimentOptions(workload, experiment);
 
-  auto digest = [&](auto& store) {
+  auto digest = [&](DidoStore& store) {
     const uint64_t objects = store.Preload(
         workload.dataset,
         PreloadTarget(workload.dataset, experiment.arena_bytes, 0.8));
@@ -128,8 +128,7 @@ TEST(IntegrationTest, MegaKvAndDidoAgreeFunctionally) {
     uint64_t hash = 0;
     for (int i = 0; i < 3; ++i) {
       responses.clear();
-      // MegaKvStore has no response out-param; use the executor directly.
-      store.executor().RunBatch(store.config_for_test(), *session.source,
+      store.executor().RunBatch(store.current_config(), *session.source,
                                 1000, &responses);
       for (const Frame& frame : responses) {
         hash ^= Hash64(frame.payload.data(), frame.payload.size(), i);
@@ -138,14 +137,8 @@ TEST(IntegrationTest, MegaKvAndDidoAgreeFunctionally) {
     return hash;
   };
 
-  struct DidoWrap : DidoStore {
-    using DidoStore::DidoStore;
-    PipelineConfig config_for_test() { return current_config(); }
-  } dido(options, ExperimentSpec(experiment));
-  struct MegaWrap : MegaKvStore {
-    using MegaKvStore::MegaKvStore;
-    PipelineConfig config_for_test() { return config(); }
-  } megakv(options, ExperimentSpec(experiment));
+  DidoStore dido(options, ExperimentSpec(experiment));
+  DidoStore megakv(MegaKvCoupledOptions(options), ExperimentSpec(experiment));
 
   EXPECT_EQ(digest(dido), digest(megakv));
 }

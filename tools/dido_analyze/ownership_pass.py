@@ -34,7 +34,7 @@ from . import callgraph, source
 
 _SINK_CALL_RE = re.compile(
     r"\b(?:RetireObject|RetireDetached|RetireBatch|ReleaseDetached"
-    r"|Free|FreeObject|Insert)\s*\(")
+    r"|Free|Insert)\s*\(")
 
 _STATUS_RETURN_RE = re.compile(r"\breturn\b[^;]*\b[Ss]tatus\b")
 
