@@ -17,6 +17,12 @@ Random& ThreadRng() {
   return rng;
 }
 
+// Where the counts of an uncounted Insert or Delete go.
+CuckooHashTable::Counters& Uncounted() {
+  thread_local CuckooHashTable::Counters sink;
+  return sink;
+}
+
 }  // namespace
 
 CuckooHashTable::CuckooHashTable(const Options& options)
@@ -67,22 +73,18 @@ uint64_t CuckooHashTable::AlternateBucket(uint64_t bucket,
 }
 
 int CuckooHashTable::Search(uint64_t hash, KvObject** candidates,
-                            int max_candidates) const {
+                            int max_candidates, Counters* tally) const {
   const uint16_t signature = SignatureOf(hash);
   const uint64_t b1 = PrimaryBucket(hash);
   const uint64_t b2 = AlternateBucket(b1, signature);
   int found = 0;
-  // Counter updates throughout use relaxed atomics: they are monotonic
-  // statistics read only through the counters() snapshot, never used to
-  // order or publish index state.
-  counters_.searches.fetch_add(1, std::memory_order_relaxed);
+  bool primary_hit = false;
   // Both buckets are always read: a signature hit in the primary bucket may
   // be a 16-bit false positive while the real key lives in the alternate, so
   // early exit would risk false misses.  (The cost model still charges the
   // (sum_i i)/n expected probes of an early-exit probe sequence, as the
   // paper prescribes; search_primary_hits lets tests quantify the gap.)
   for (uint64_t b : {b1, b2}) {
-    counters_.search_buckets_probed.fetch_add(1, std::memory_order_relaxed);
     for (int s = 0; s < kSlotsPerBucket && found < max_candidates; ++s) {
       const uint64_t entry =
           buckets_[b].slots[s].load(std::memory_order_acquire);
@@ -90,18 +92,20 @@ int CuckooHashTable::Search(uint64_t hash, KvObject** candidates,
         candidates[found++] = EntryObject(entry);
       }
     }
-    if (b == b1 && found > 0) {
-      // relaxed: statistic only, as for every counters_ update.
-      counters_.search_primary_hits.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (b == b1) primary_hit = found > 0;
+  }
+  if (tally != nullptr) {
+    tally->searches += 1;
+    tally->search_buckets_probed += kNumHashes;
+    tally->search_primary_hits += primary_hit ? 1 : 0;
   }
   return found;
 }
 
-KvObject* CuckooHashTable::SearchVerified(uint64_t hash,
-                                          std::string_view key) const {
+KvObject* CuckooHashTable::SearchVerified(uint64_t hash, std::string_view key,
+                                          Counters* tally) const {
   KvObject* candidates[2 * kSlotsPerBucket];
-  const int n = Search(hash, candidates, 2 * kSlotsPerBucket);
+  const int n = Search(hash, candidates, 2 * kSlotsPerBucket, tally);
   for (int i = 0; i < n; ++i) {
     if (candidates[i]->Key() == key) return candidates[i];
   }
@@ -109,7 +113,7 @@ KvObject* CuckooHashTable::SearchVerified(uint64_t hash,
 }
 
 Status CuckooHashTable::MakeRoom(uint64_t b1, uint64_t b2, uint64_t* out_bucket,
-                                 int* out_slot) {
+                                 int* out_slot, uint64_t* displacements) {
   // Random-walk displacement starting from b1.  Each step moves one entry to
   // its alternate bucket; progress is bounded by max_displacements.
   uint64_t bucket = b1;
@@ -147,8 +151,7 @@ Status CuckooHashTable::MakeRoom(uint64_t b1, uint64_t b2, uint64_t* out_bucket,
       buckets_[alt].slots[alt_slot].store(0, std::memory_order_release);
       return -1;
     }
-    // relaxed: statistic; slot movement is published by the CAS above.
-    counters_.displacements.fetch_add(1, std::memory_order_relaxed);
+    *displacements += 1;
     return victim_slot;
   };
 
@@ -162,7 +165,8 @@ Status CuckooHashTable::MakeRoom(uint64_t b1, uint64_t b2, uint64_t* out_bucket,
 }
 
 Status CuckooHashTable::Insert(uint64_t hash, KvObject* object,
-                               KvObject** replaced) {
+                               KvObject** replaced, Counters* tally) {
+  if (tally == nullptr) tally = &Uncounted();
   FaultHit fault;
   if (DIDO_FAULT_POINT_HIT("index.insert.busy", &fault)) {
     // Injected transient contention (a cuckoo path in flight elsewhere):
@@ -172,8 +176,7 @@ Status CuckooHashTable::Insert(uint64_t hash, KvObject* object,
   if (DIDO_FAULT_POINT_HIT("index.insert.capacity_full", &fault)) {
     // Injected displacement-bound exhaustion: terminal for this insert, so
     // it must surface as a failed insert and an error response upstream.
-    // (relaxed: statistic only, as for every counters_ update.)
-    counters_.failed_inserts.fetch_add(1, std::memory_order_relaxed);
+    tally->failed_inserts += 1;
     return Status::CapacityFull("injected displacement exhaustion");
   }
   const uint16_t signature = SignatureOf(hash);
@@ -181,19 +184,17 @@ Status CuckooHashTable::Insert(uint64_t hash, KvObject* object,
   const uint64_t b2 = AlternateBucket(b1, signature);
   const uint64_t new_entry = PackEntry(signature, object);
   if (replaced != nullptr) *replaced = nullptr;
-  // Counter and live_entries_ updates below are relaxed throughout: they
-  // are monotonic statistics, never used to order or publish index state
-  // (publication is the acq_rel CAS on the slot itself).
-  counters_.inserts.fetch_add(1, std::memory_order_relaxed);
+  tally->inserts += 1;
 
   // Pass 1: replace a live entry for the same key (SET overwrite semantics).
   for (uint64_t b : {b1, b2}) {
-    counters_.insert_buckets_probed.fetch_add(1, std::memory_order_relaxed);
+    tally->insert_buckets_probed += 1;
     for (int s = 0; s < kSlotsPerBucket; ++s) {
       uint64_t entry = buckets_[b].slots[s].load(std::memory_order_acquire);
       if (entry == 0 || EntrySignature(entry) != signature) continue;
       KvObject* existing = EntryObject(entry);
       if (existing->Key() != object->Key()) continue;
+      // dido-analyze: allow(hot): slot CAS, the publication protocol.
       if (buckets_[b].slots[s].compare_exchange_strong(
               entry, new_entry, std::memory_order_acq_rel)) {
         if (replaced != nullptr) *replaced = existing;
@@ -208,9 +209,12 @@ Status CuckooHashTable::Insert(uint64_t hash, KvObject* object,
     for (int s = 0; s < kSlotsPerBucket; ++s) {
       uint64_t expected = 0;
       if (buckets_[b].slots[s].load(std::memory_order_acquire) != 0) continue;
+      // dido-analyze: allow(hot): slot CAS, as in pass 1.
       if (buckets_[b].slots[s].compare_exchange_strong(
               expected, new_entry, std::memory_order_acq_rel)) {
-        // relaxed: statistic (see above).
+        // relaxed: occupancy statistic; publication is the acq_rel CAS on
+        // the slot itself.
+        // dido-analyze: allow(hot): occupancy, once per new key, not per op.
         live_entries_.fetch_add(1, std::memory_order_relaxed);
         return Status::Ok();
       }
@@ -218,44 +222,46 @@ Status CuckooHashTable::Insert(uint64_t hash, KvObject* object,
   }
 
   // Pass 3: displacement under the table-wide cuckoo lock.
-  // dido-analyze: allow(hot): taken only when both candidate buckets are
-  // full (passes 1-2 are lock-free CAS); the lock serializes the
+  // dido-analyze: begin-allow(hot): taken only when both candidate buckets
+  // are full (passes 1-2 are lock-free CAS); the lock serializes the
   // random-walk displacement, and Search never blocks on it — the
   // slow-path frequency is the load factor the paper sizes the table for.
   MutexLock lock(displacement_mu_);
   uint64_t bucket = 0;
   int slot = 0;
-  Status status = MakeRoom(b1, b2, &bucket, &slot);
+  Status status = MakeRoom(b1, b2, &bucket, &slot, &tally->displacements);
   if (!status.ok()) {
-    // relaxed: statistic (see above).
-    counters_.failed_inserts.fetch_add(1, std::memory_order_relaxed);
+    tally->failed_inserts += 1;
     return status;
   }
   buckets_[bucket].slots[slot].store(new_entry, std::memory_order_release);
-  // relaxed: statistic (see above).
+  // relaxed: occupancy statistic (see above).
   live_entries_.fetch_add(1, std::memory_order_relaxed);
+  // dido-analyze: end-allow(hot)
   return Status::Ok();
 }
 
 Status CuckooHashTable::Delete(uint64_t hash, std::string_view key,
-                               KvObject** removed, const KvObject* exclude) {
+                               KvObject** removed, const KvObject* exclude,
+                               Counters* tally) {
+  if (tally == nullptr) tally = &Uncounted();
   const uint16_t signature = SignatureOf(hash);
   const uint64_t b1 = PrimaryBucket(hash);
   const uint64_t b2 = AlternateBucket(b1, signature);
   if (removed != nullptr) *removed = nullptr;
-  // Counter and live_entries_ updates are relaxed: statistics only, the
-  // unlink itself is published by the acq_rel CAS on the slot.
-  counters_.deletes.fetch_add(1, std::memory_order_relaxed);
+  tally->deletes += 1;
   for (uint64_t b : {b1, b2}) {
-    counters_.delete_buckets_probed.fetch_add(1, std::memory_order_relaxed);
+    tally->delete_buckets_probed += 1;
     for (int s = 0; s < kSlotsPerBucket; ++s) {
       uint64_t entry = buckets_[b].slots[s].load(std::memory_order_acquire);
       if (entry == 0 || EntrySignature(entry) != signature) continue;
       KvObject* object = EntryObject(entry);
       if (object == exclude || object->Key() != key) continue;
+      // dido-analyze: allow(hot): slot CAS, the unlink protocol.
       if (buckets_[b].slots[s].compare_exchange_strong(
               entry, 0, std::memory_order_acq_rel)) {
         // relaxed: statistic; the unlink is published by the CAS above.
+        // dido-analyze: allow(hot): occupancy, as in Insert.
         live_entries_.fetch_sub(1, std::memory_order_relaxed);
         if (removed != nullptr) *removed = object;
         return Status::Ok();
@@ -298,41 +304,28 @@ void CuckooHashTable::ForEach(
   }
 }
 
-CuckooHashTable::Counters CuckooHashTable::counters() const {
-  Counters snapshot;
-  // relaxed loads throughout: each statistic is individually consistent;
-  // the snapshot is not a linearizable cut (see header comment).
-  snapshot.searches = counters_.searches.load(std::memory_order_relaxed);
-  snapshot.search_buckets_probed =
-      counters_.search_buckets_probed.load(std::memory_order_relaxed);
-  snapshot.search_primary_hits =
-      counters_.search_primary_hits.load(std::memory_order_relaxed);
-  snapshot.inserts = counters_.inserts.load(std::memory_order_relaxed);
-  snapshot.insert_buckets_probed =
-      counters_.insert_buckets_probed.load(std::memory_order_relaxed);
-  // relaxed: see above.
-  snapshot.displacements =
-      counters_.displacements.load(std::memory_order_relaxed);
-  snapshot.deletes = counters_.deletes.load(std::memory_order_relaxed);
-  snapshot.delete_buckets_probed =
-      counters_.delete_buckets_probed.load(std::memory_order_relaxed);
-  snapshot.failed_inserts =
-      counters_.failed_inserts.load(std::memory_order_relaxed);
-  return snapshot;
+CuckooHashTable::Counters& CuckooHashTable::Counters::operator+=(
+    const Counters& other) {
+  searches += other.searches;
+  search_buckets_probed += other.search_buckets_probed;
+  search_primary_hits += other.search_primary_hits;
+  inserts += other.inserts;
+  insert_buckets_probed += other.insert_buckets_probed;
+  displacements += other.displacements;
+  deletes += other.deletes;
+  delete_buckets_probed += other.delete_buckets_probed;
+  failed_inserts += other.failed_inserts;
+  return *this;
 }
 
-void CuckooHashTable::ResetCounters() {
-  // relaxed stores throughout: statistics reset between measurement
-  // phases; nothing is ordered against them.
-  counters_.searches.store(0, std::memory_order_relaxed);
-  counters_.search_buckets_probed.store(0, std::memory_order_relaxed);
-  counters_.search_primary_hits.store(0, std::memory_order_relaxed);
-  counters_.inserts.store(0, std::memory_order_relaxed);
-  counters_.insert_buckets_probed.store(0, std::memory_order_relaxed);
-  counters_.displacements.store(0, std::memory_order_relaxed);
-  counters_.deletes.store(0, std::memory_order_relaxed);
-  counters_.delete_buckets_probed.store(0, std::memory_order_relaxed);
-  counters_.failed_inserts.store(0, std::memory_order_relaxed);
+CuckooHashTable::Counters CuckooHashTable::counters() const {
+  MutexLock lock(totals_mu_);
+  return totals_;
+}
+
+void CuckooHashTable::Accumulate(const Counters& tally) {
+  MutexLock lock(totals_mu_);
+  totals_ += tally;
 }
 
 uint64_t CuckooHashTable::LiveEntries() const {

@@ -42,11 +42,10 @@ class CuckooHashTable {
   static constexpr int kSlotsPerBucket = 8;
   static constexpr int kNumHashes = 2;  // hash choices per key
 
-  // Aggregate operation counters; probes are reported in buckets touched so
-  // the cost model's (sum_i i)/n expected-probe formula can be validated.
-  // This is the *snapshot* type returned by counters(); internally the
-  // table maintains the counts as relaxed atomics because Search/Insert/
-  // Delete run concurrently from CPU and GPU stage threads.
+  // Operation counts; probes are reported in buckets touched so the cost
+  // model's (sum_i i)/n expected-probe formula can be validated.  Callers
+  // own the tally an operation adds to (a batch's measurements, or a local
+  // one for a direct call), so the index operations share no counter.
   struct Counters {
     uint64_t searches = 0;
     uint64_t search_buckets_probed = 0;
@@ -57,6 +56,8 @@ class CuckooHashTable {
     uint64_t deletes = 0;
     uint64_t delete_buckets_probed = 0;
     uint64_t failed_inserts = 0;
+
+    Counters& operator+=(const Counters& other);
   };
 
   explicit CuckooHashTable(const Options& options);
@@ -69,17 +70,21 @@ class CuckooHashTable {
 
   // --- Index operations (the IN / Search / Insert / Delete tasks) ---
 
+  // Each operation below adds its counts to `tally` when it is non-null;
+  // a null tally leaves the call uncounted.
+
   // Collects up to `max_candidates` objects whose slot signature matches.
   // Returns the number of candidates written to `candidates`.  Epoch
   // contract: the returned pointers are retire-able — the caller must hold
   // a pin from before this call until it is done dereferencing them.
-  int Search(uint64_t hash, KvObject** candidates, int max_candidates) const
-      DIDO_REQUIRES_EPOCH;
+  int Search(uint64_t hash, KvObject** candidates, int max_candidates,
+             Counters* tally = nullptr) const DIDO_REQUIRES_EPOCH;
 
   // Search + full-key verification in one call (convenience path used when
   // IN and KC are fused into the same pipeline stage).  Epoch contract: as
   // Search — dereferences candidate keys and returns a retire-able pointer.
-  KvObject* SearchVerified(uint64_t hash, std::string_view key) const
+  KvObject* SearchVerified(uint64_t hash, std::string_view key,
+                           Counters* tally = nullptr) const
       DIDO_REQUIRES_EPOCH;
 
   // Publishes `object` under `hash`.  If a live entry with the same
@@ -87,8 +92,8 @@ class CuckooHashTable {
   // through `replaced` (caller frees it).  Fails with kCapacityFull when the
   // displacement bound is exceeded.  Epoch contract: compares resident
   // entries' full keys (dereferences retire-able objects) while probing.
-  Status Insert(uint64_t hash, KvObject* object, KvObject** replaced)
-      DIDO_REQUIRES_EPOCH;
+  Status Insert(uint64_t hash, KvObject* object, KvObject** replaced,
+                Counters* tally = nullptr) DIDO_REQUIRES_EPOCH;
 
   // Removes the entry for `key`; returns the unlinked object through
   // `removed` (caller frees it).  kNotFound if absent.  Entries pointing at
@@ -96,7 +101,8 @@ class CuckooHashTable {
   // version without racing its own freshly inserted one.  Epoch contract:
   // as Insert — full-key comparison dereferences resident objects.
   Status Delete(uint64_t hash, std::string_view key, KvObject** removed,
-                const KvObject* exclude = nullptr) DIDO_REQUIRES_EPOCH;
+                const KvObject* exclude = nullptr, Counters* tally = nullptr)
+      DIDO_REQUIRES_EPOCH;
 
   // Removes the entry pointing at exactly `object` (eviction path, where the
   // victim identity is known).  kNotFound if the index no longer holds it.
@@ -117,12 +123,12 @@ class CuckooHashTable {
   uint64_t LiveEntries() const;
   double LoadFactor() const;
 
-  // Relaxed-atomic snapshot of the operation counters.  Counts taken while
-  // operations are in flight are approximate (each field is individually
-  // consistent, the set is not a linearizable cut) — good enough for the
-  // per-batch probe averaging they feed.
-  Counters counters() const;
-  void ResetCounters();
+  // Totals of every tally folded in through Accumulate.  KvRuntime folds a
+  // batch's tally when the batch retires and a direct call's before the
+  // call returns, so operations still in flight are not yet included.
+  // DIDO_COLD: the fold runs once per batch, never per operation.
+  Counters counters() const DIDO_EXCLUDES(totals_mu_);
+  void Accumulate(const Counters& tally) DIDO_EXCLUDES(totals_mu_) DIDO_COLD;
 
  private:
   using Slot = std::atomic<uint64_t>;
@@ -143,23 +149,10 @@ class CuckooHashTable {
 
   // Displaces entries along a cuckoo path to open a slot in bucket `b1` or
   // `b2`.  Returns the freed (bucket, slot) or a kCapacityFull error.
+  // Each entry moved is counted into `displacements`.
   Status MakeRoom(uint64_t b1, uint64_t b2, uint64_t* out_bucket,
-                  int* out_slot) DIDO_REQUIRES(displacement_mu_);
-
-  // Internal counter representation: one relaxed atomic per statistic, so
-  // concurrent index operations never race on the bookkeeping (TSan-clean)
-  // while staying off the hot paths' critical dependency chains.
-  struct AtomicCounters {
-    std::atomic<uint64_t> searches{0};
-    std::atomic<uint64_t> search_buckets_probed{0};
-    std::atomic<uint64_t> search_primary_hits{0};
-    std::atomic<uint64_t> inserts{0};
-    std::atomic<uint64_t> insert_buckets_probed{0};
-    std::atomic<uint64_t> displacements{0};
-    std::atomic<uint64_t> deletes{0};
-    std::atomic<uint64_t> delete_buckets_probed{0};
-    std::atomic<uint64_t> failed_inserts{0};
-  };
+                  int* out_slot, uint64_t* displacements)
+      DIDO_REQUIRES(displacement_mu_);
 
   const uint64_t num_buckets_;  // power of two
   const uint64_t bucket_mask_;
@@ -172,7 +165,9 @@ class CuckooHashTable {
   Bucket* const buckets_;
   std::atomic<uint64_t> live_entries_{0};
   Mutex displacement_mu_;  // serializes cuckoo path moves
-  mutable AtomicCounters counters_;
+  // Cold: taken once per retired batch or direct call, never per op.
+  mutable Mutex totals_mu_;
+  Counters totals_ DIDO_GUARDED_BY(totals_mu_);
   const Options options_;
 };
 

@@ -26,6 +26,7 @@ inline void Bump(obs::Counter* counter, uint64_t n = 1) {
   if (counter != nullptr) counter->Add(n);
 }
 inline void Observe(obs::AtomicHistogram* histogram, double value) {
+  // dido-analyze: allow(hot): stage threads record once per batch.
   if (histogram != nullptr) histogram->Record(value);
 }
 inline void Publish(obs::Gauge* gauge, double value) {
@@ -328,6 +329,7 @@ void LivePipeline::ExecuteStage(size_t lane, bool degraded, QueryBatch* batch,
   for (const StageSpec& stage : stages) {
     runtime_->RunStage(stage, batch, [&](TaskKind task) {
       // Relaxed: watchdog liveness signal, see StageHealth.
+      // dido-analyze: allow(hot): once per task, on this stage's own word.
       heartbeat.fetch_add(1, std::memory_order_relaxed);
       if (!tracing) return;
       // dido-analyze: allow(hot): per-task trace emission, only while
@@ -533,6 +535,7 @@ void LivePipeline::StageLoop(size_t stage_index) {
     if (batch == nullptr) break;  // upstream closed and drained
     // Relaxed: watchdog liveness signals, see StageHealth.
     health.busy.store(true, std::memory_order_relaxed);
+    // dido-analyze: allow(hot): once per batch, on this stage's own word.
     health.heartbeat.fetch_add(1, std::memory_order_relaxed);
 
     // Queue wait: time between the producer's hand-off and this pop.

@@ -94,6 +94,8 @@ struct KvObject {
       return 1;
     }
     // relaxed: sampling statistic (see above).
+    // dido-analyze: allow(hot): the profiler's per-object access count, on
+    // the header line KC has just read for the key compare.
     return freq_counter.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 };

@@ -19,9 +19,6 @@ Result<KvObject*> MemoryManager::AllocateObject(
     // the retry budget drives the give-up path.
     return Status::OutOfMemory("injected allocation failure");
   }
-  // Victims are collected through a local out-param and counted one by one:
-  // with the MM task reachable from several stages at once, inferring the
-  // count from a shared vector's size delta would race.
   SlabAllocator::EvictedObject victim;
   Result<KvObject*> result = allocator_.Allocate(
       key, value, version, &victim, SlabAllocator::EvictionMode::kFail);
@@ -46,22 +43,7 @@ Result<KvObject*> MemoryManager::AllocateObject(
                                    SlabAllocator::EvictionMode::kDetach);
     }
   }
-  if (victim.stale_ptr != nullptr) {
-    // relaxed: monotonic statistic, orders nothing.
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    evictions->push_back(std::move(victim));
-  }
-  if (!result.ok()) {
-    // kOutOfMemory is a retryable quarantine condition, not yet a failure
-    // (see header).
-    if (result.status().code() != StatusCode::kOutOfMemory) {
-      // relaxed: monotonic statistic, orders nothing.
-      failed_allocations_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return result;
-  }
-  // relaxed: monotonic statistic, orders nothing.
-  allocations_.fetch_add(1, std::memory_order_relaxed);
+  if (victim.stale_ptr != nullptr) evictions->push_back(std::move(victim));
   return result;
 }
 

@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "mem/slab_allocator.h"
@@ -22,14 +23,23 @@ class EpochManager;
 // — the 95:5:5 Search/Insert/Delete mix behind Figure 6.
 class MemoryManager {
  public:
-  // Snapshot type returned by counters().  In the live pipeline the MM
-  // stage allocates while the retire stage frees concurrently, so the
-  // internal counts are relaxed atomics.
+  // Allocation counts.  The allocating caller (KvRuntime) tallies
+  // allocations, evictions and failed allocations itself, since the
+  // results of AllocateObject carry all three, and folds its tally in
+  // through Accumulate.  Frees are counted here (see frees_).
   struct Counters {
     uint64_t allocations = 0;
     uint64_t evictions = 0;
     uint64_t frees = 0;
     uint64_t failed_allocations = 0;
+
+    Counters& operator+=(const Counters& other) {
+      allocations += other.allocations;
+      evictions += other.evictions;
+      frees += other.frees;
+      failed_allocations += other.failed_allocations;
+      return *this;
+    }
   };
 
   // Every retired object is quarantined in `epoch`.  Its drain runs this
@@ -44,8 +54,7 @@ class MemoryManager {
   // non-null) and kOutOfMemory is returned.  The caller must drop the
   // victim's index entry, RetireDetached() it, and retry once the epoch
   // manager has had a chance to drain (see KvRuntime::AllocateWithEviction).
-  // kOutOfMemory is therefore retryable and not counted as a failed
-  // allocation; callers that give up call NoteAllocationFailure().
+  // kOutOfMemory is therefore retryable, not yet a failed allocation.
   Result<KvObject*> AllocateObject(
       std::string_view key, std::string_view value, uint32_t version,
       std::vector<SlabAllocator::EvictedObject>* evictions)
@@ -67,13 +76,6 @@ class MemoryManager {
   // new reader can reach it.
   void RetireDetached(KvObject* object);
 
-  // Records a definitive allocation failure after the eviction retries
-  // were exhausted (AllocateObject does not count retryable kOutOfMemory).
-  void NoteAllocationFailure() {
-    // relaxed: monotonic statistic, orders nothing.
-    failed_allocations_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   // GET path: sets the CLOCK reference bit, lock-free.  Epoch contract: the
   // object is a probe result that a concurrent eviction may detach and
   // retire, so the caller's pin must span the call.
@@ -83,37 +85,36 @@ class MemoryManager {
 
   SlabAllocator& allocator() { return allocator_; }
 
-  // Relaxed-atomic snapshot (individually consistent fields, not a
-  // linearizable cut across them).
-  Counters counters() const {
-    Counters snapshot;
-    snapshot.allocations = allocations_.load(std::memory_order_relaxed);
-    snapshot.evictions = evictions_.load(std::memory_order_relaxed);
+  // The folded tallies plus the frees counted so far.
+  Counters counters() const DIDO_EXCLUDES(totals_mu_) {
+    MutexLock lock(totals_mu_);
+    Counters snapshot = totals_;
+    // relaxed: monotonic statistic, orders nothing.
     snapshot.frees = frees_.load(std::memory_order_relaxed);
-    snapshot.failed_allocations =
-        failed_allocations_.load(std::memory_order_relaxed);
     return snapshot;
   }
-  void ResetCounters() {
-    // relaxed: statistics reset between measurement phases; orders nothing.
-    allocations_.store(0, std::memory_order_relaxed);
-    evictions_.store(0, std::memory_order_relaxed);
-    frees_.store(0, std::memory_order_relaxed);
-    failed_allocations_.store(0, std::memory_order_relaxed);
+  // DIDO_COLD: as CuckooHashTable::Accumulate, once per batch.
+  void Accumulate(const Counters& tally) DIDO_EXCLUDES(totals_mu_) DIDO_COLD {
+    MutexLock lock(totals_mu_);
+    totals_ += tally;
   }
 
  private:
   // Deleter thunk handed to EpochManager::Retire.
   static void ReleaseDetachedThunk(void* ctx, void* ptr);
 
+  // dido-analyze: allow(lock): synchronizes itself; totals_mu_ guards
+  // only totals_.
   SlabAllocator allocator_;
+  // dido-analyze: allow(lock): reference set at construction.
   EpochManager& epoch_;
-  // Monotonic statistics only — never used to order allocator state, so
-  // relaxed ordering is sufficient.
-  std::atomic<uint64_t> allocations_{0};
-  std::atomic<uint64_t> evictions_{0};
+  // Cold: taken once per retired batch or direct call, never per op.
+  mutable Mutex totals_mu_;
+  Counters totals_ DIDO_GUARDED_BY(totals_mu_);
+  // The one count no query's tally can carry: the epoch deleter runs on
+  // whichever thread drains the quarantine.  A relaxed atomic, since it
+  // orders nothing.
   std::atomic<uint64_t> frees_{0};
-  std::atomic<uint64_t> failed_allocations_{0};
 };
 
 }  // namespace dido

@@ -72,6 +72,7 @@ class Counter {
     }
     // relaxed: monotone statistic; readers only ever need an eventually-
     // consistent sum, nothing is ordered against the counted event.
+    // dido-analyze: allow(hot): on this thread's own shard line.
     shards_[ShardIndex()].value.fetch_add(n, std::memory_order_relaxed);
   }
 
@@ -97,6 +98,7 @@ class Counter {
     // nothing.
     static std::atomic<size_t> next_stripe{0};
     thread_local const size_t stripe =
+        // dido-analyze: allow(hot): runs once per thread, on first use.
         next_stripe.fetch_add(1, std::memory_order_relaxed);
     return stripe % kShards;
   }

@@ -29,7 +29,6 @@ void QueryBatch::Clear() {
   queries.clear();
   epoch_pin.Release();
   staging.clear();
-  index_counters_at_pp = CuckooHashTable::Counters();
   max_lsn = 0;
   std::vector<uint32_t> frequencies =
       std::move(measurements.sampled_frequencies);

@@ -10,6 +10,7 @@
 
 #include "index/cuckoo_hash_table.h"
 #include "mem/kv_object.h"
+#include "mem/memory_manager.h"
 #include "net/codec.h"
 #include "net/sim_nic.h"
 #include "pipeline/pipeline_config.h"
@@ -40,12 +41,6 @@ struct QueryRecord {
   uint32_t staged_offset = 0;
   uint32_t staged_len = 0;
 
-  // Victims this SET evicted (MM output).  Their stale index entries are
-  // removed and the objects retired to the epoch manager inline during MM
-  // (the allocation cannot proceed before the unlink), so only the count
-  // is kept.
-  uint32_t evictions = 0;
-
   ResponseStatus status = ResponseStatus::kError;
 };
 static_assert(std::is_trivially_copyable_v<QueryRecord>);
@@ -62,8 +57,13 @@ struct BatchMeasurements {
   uint64_t misses = 0;
   uint64_t inserts = 0;
   uint64_t deletes = 0;  // replacements + explicit deletes + evictions
-  uint64_t evictions = 0;
   uint64_t failed_inserts = 0;
+  // The batch's own index and allocation counts, added by its tasks as
+  // plain fields (one stage thread owns the batch at a time).  RetireBatch
+  // derives the probe averages below from them and folds them into the
+  // runtime's exported totals.
+  CuckooHashTable::Counters index;
+  MemoryManager::Counters mem;
   // Robustness counters (feed LivePipeline's DegradationStats):
   // frames whose record stream failed to parse (PP skips the frame's
   // remainder and continues), transient-error retries burned on the SET
@@ -144,14 +144,6 @@ struct QueryBatch {
 
   std::vector<uint8_t> staging;   // RD output buffer (sequentialized values)
   std::vector<Frame> responses;   // WR output frames
-
-  // Cuckoo counter snapshot taken at PP time, consumed by RetireBatch to
-  // compute this batch's probe averages.  Carried in the batch (not in
-  // KvRuntime) because several batches are in flight at once in the live
-  // pipeline: a runtime-global snapshot would be overwritten by the ingress
-  // thread while the retire thread still reads it — both a data race and a
-  // cross-batch accounting error.
-  CuckooHashTable::Counters index_counters_at_pp;
 
   // Highest oplog LSN appended by this batch's mutations (0 = none).  In
   // write-through mode the batch's responses are held until this LSN is

@@ -90,13 +90,14 @@ void KvRuntime::RegisterMetrics(obs::MetricsRegistry* registry) {
 Result<KvObject*> KvRuntime::AllocateWithEviction(
     std::string_view key, std::string_view value, uint32_t version,
     std::vector<SlabAllocator::EvictedObject>* evictions,
-    uint64_t* retries) {
+    MemoryManager::Counters* tally, uint64_t* retries) {
   DIDO_CHECK(evictions != nullptr);
   for (int attempt = 0; attempt < kMaxAllocationAttempts; ++attempt) {
     if (attempt > 0 && retries != nullptr) *retries += 1;
     const size_t first_new = evictions->size();
     Result<KvObject*> object =
         memory_->AllocateObject(key, value, version, evictions);
+    tally->evictions += evictions->size() - first_new;
     for (size_t v = first_new; v < evictions->size(); ++v) {
       const SlabAllocator::EvictedObject& victim = (*evictions)[v];
       // Unlink before retiring: once the stale entry is gone no new reader
@@ -107,8 +108,12 @@ Result<KvObject*> KvRuntime::AllocateWithEviction(
           .ok();
       memory_->RetireDetached(victim.stale_ptr);
     }
-    if (object.ok() ||
-        object.status().code() != StatusCode::kOutOfMemory) {
+    if (object.ok()) {
+      tally->allocations += 1;
+      return object;
+    }
+    if (object.status().code() != StatusCode::kOutOfMemory) {
+      tally->failed_allocations += 1;
       return object;
     }
     // An eviction quarantines the victim's chunk instead of handing it to
@@ -123,7 +128,7 @@ Result<KvObject*> KvRuntime::AllocateWithEviction(
               1 << std::min(attempt - kYieldingAllocationAttempts, 10))));
     }
   }
-  memory_->NoteAllocationFailure();
+  tally->failed_allocations += 1;
   return Status::OutOfMemory("quarantined evictions outpaced reclamation");
 }
 
@@ -131,6 +136,9 @@ uint64_t KvRuntime::Preload(const DatasetSpec& dataset,
                             uint64_t target_objects) {
   std::vector<uint8_t> key_buffer(dataset.key_size);
   std::vector<uint8_t> value_buffer(dataset.value_size);
+  // The whole preload counts as one batch.
+  CuckooHashTable::Counters index_tally;
+  MemoryManager::Counters mem_tally;
   for (uint64_t i = 0; i < target_objects; ++i) {
     MaterializeKey(i, dataset.key_size, key_buffer.data());
     MaterializeValue(i, dataset.value_size, 0, value_buffer.data());
@@ -139,13 +147,19 @@ uint64_t KvRuntime::Preload(const DatasetSpec& dataset,
     const std::string_view value(
         reinterpret_cast<const char*>(value_buffer.data()),
         dataset.value_size);
-    if (!ApplySet(key, value, 0).ok()) break;
+    // The first eviction means memory is full: a further SET would only
+    // displace an earlier one.
+    if (!ApplySet(key, value, 0, &index_tally, &mem_tally).ok() ||
+        mem_tally.evictions > 0) {
+      break;
+    }
   }
+  index_->Accumulate(index_tally);
+  memory_->Accumulate(mem_tally);
   return index_->LiveEntries();
 }
 
 Status KvRuntime::RunPacketProcessing(QueryBatch* batch) {
-  batch->index_counters_at_pp = index_->counters();
   BatchMeasurements& m = batch->measurements;
   for (const Frame& frame : batch->frames) {
     size_t offset = 0;
@@ -199,12 +213,10 @@ void KvRuntime::RunMemoryManagement(QueryBatch* batch, size_t begin,
     Result<KvObject*> object = AllocateWithEviction(
         record.key, record.value,
         version_counter_.fetch_add(1, std::memory_order_relaxed) + 1,
-        &evicted, &m.set_retries);
-    record.evictions = static_cast<uint32_t>(evicted.size());
+        &evicted, &m.mem, &m.set_retries);
     // Each eviction's paired index Delete already ran inline (the unlink
     // must precede the victim's retirement); count it where the paper's
     // Figure 6 analysis expects it.
-    m.evictions += evicted.size();
     m.deletes += evicted.size();
     if (!object.ok()) {
       // Retry budget exhausted inside AllocateWithEviction: the SET is
@@ -225,11 +237,12 @@ void KvRuntime::RunIndexSearch(QueryBatch* batch, size_t begin, size_t end) {
   // is released by RetireBatch, keeping every candidate collected below
   // dereferenceable by KC/RD/WR on any stage thread.
   if (!batch->epoch_pin.held()) batch->epoch_pin = EpochPin(epoch_);
+  BatchMeasurements& m = batch->measurements;
   for (size_t i = begin; i < end && i < batch->queries.size(); ++i) {
     QueryRecord& record = batch->queries[i];
     if (record.op != QueryOp::kGet) continue;
     KvObject* candidates[4];
-    const int n = index_->Search(record.hash, candidates, 4);
+    const int n = index_->Search(record.hash, candidates, 4, &m.index);
     record.num_candidates = static_cast<uint8_t>(n);
     for (int c = 0; c < n; ++c) {
       record.candidates[static_cast<size_t>(c)] = candidates[c];
@@ -247,7 +260,8 @@ void KvRuntime::RunIndexInsert(QueryBatch* batch, size_t begin, size_t end) {
     QueryRecord& record = batch->queries[i];
     if (record.op != QueryOp::kSet || record.object == nullptr) continue;
     KvObject* replaced = nullptr;
-    Status status = index_->Insert(record.hash, record.object, &replaced);
+    Status status =
+        index_->Insert(record.hash, record.object, &replaced, &m.index);
     // kResourceBusy is transient (a concurrent displacement path holds the
     // buckets): retry with exponential backoff before declaring failure.
     // kCapacityFull means displacement itself was exhausted — terminal.
@@ -262,7 +276,7 @@ void KvRuntime::RunIndexInsert(QueryBatch* batch, size_t begin, size_t end) {
       // lengthen the very displacement window being waited out.
       std::this_thread::sleep_for(
           std::chrono::microseconds(1u << std::min(attempt, 6)));
-      status = index_->Insert(record.hash, record.object, &replaced);
+      status = index_->Insert(record.hash, record.object, &replaced, &m.index);
     }
     if (!status.ok()) {
       // Never published, so no eviction can have picked it; RetireObject
@@ -309,7 +323,8 @@ void KvRuntime::RunIndexDelete(QueryBatch* batch, size_t begin, size_t end) {
     QueryRecord& record = batch->queries[i];
     if (record.op == QueryOp::kDelete) {
       KvObject* removed = nullptr;
-      if (index_->Delete(record.hash, record.key, &removed).ok()) {
+      if (index_->Delete(record.hash, record.key, &removed, nullptr, &m.index)
+              .ok()) {
         memory_->RetireObject(removed);
         record.status = ResponseStatus::kDeleted;
         m.deletes += 1;
@@ -450,40 +465,28 @@ void KvRuntime::RetireBatch(QueryBatch* batch) {
   batch->epoch_pin.Release();
   epoch_.TryReclaim();
 
-  // Per-batch probe averages from the cuckoo counter deltas, against the
-  // snapshot PP stored in the batch.  With several batches in flight the
-  // deltas include concurrent batches' operations — an approximation the
-  // cost model tolerates (it consumes running averages).
-  const CuckooHashTable::Counters now = index_->counters();
-  const CuckooHashTable::Counters& then = batch->index_counters_at_pp;
+  // Probe averages from the batch's own tally, so they count this batch's
+  // operations only, however many batches are in flight.
   BatchMeasurements& m = batch->measurements;
-  const uint64_t searches = now.searches - then.searches;
-  const uint64_t inserts = now.inserts - then.inserts;
-  const uint64_t deletes = now.deletes - then.deletes;
-  m.search_probes =
-      searches > 0 ? static_cast<double>(now.search_buckets_probed -
-                                         then.search_buckets_probed) /
-                         static_cast<double>(searches)
+  const auto per_op = [](uint64_t probes, uint64_t ops) {
+    return ops > 0 ? static_cast<double>(probes) / static_cast<double>(ops)
                    : 0.0;
-  m.insert_probes =
-      inserts > 0 ? static_cast<double>(now.insert_buckets_probed -
-                                        then.insert_buckets_probed +
-                                        now.displacements -
-                                        then.displacements) /
-                        static_cast<double>(inserts)
-                  : 0.0;
-  m.delete_probes =
-      deletes > 0 ? static_cast<double>(now.delete_buckets_probed -
-                                        then.delete_buckets_probed) /
-                        static_cast<double>(deletes)
-                  : 0.0;
+  };
+  m.search_probes = per_op(m.index.search_buckets_probed, m.index.searches);
+  m.insert_probes = per_op(
+      m.index.insert_buckets_probed + m.index.displacements, m.index.inserts);
+  m.delete_probes = per_op(m.index.delete_buckets_probed, m.index.deletes);
+  index_->Accumulate(m.index);
+  memory_->Accumulate(m.mem);
 }
 
 Status KvRuntime::ApplySet(std::string_view key, std::string_view value,
-                           uint32_t version) {
+                           uint32_t version,
+                           CuckooHashTable::Counters* index_tally,
+                           MemoryManager::Counters* mem_tally) {
   std::vector<SlabAllocator::EvictedObject> evictions;
   Result<KvObject*> object =
-      AllocateWithEviction(key, value, version, &evictions);
+      AllocateWithEviction(key, value, version, &evictions, mem_tally);
   if (!object.ok()) return object.status();
   // Pin AFTER allocation: holding a pin across AllocateWithEviction would
   // block the epoch advances its own retry loop waits for
@@ -491,8 +494,8 @@ Status KvRuntime::ApplySet(std::string_view key, std::string_view value,
   // retire-able objects.
   EpochGuard guard(epoch_);
   KvObject* replaced = nullptr;
-  const Status status =
-      index_->Insert(CuckooHashTable::HashKey(key), *object, &replaced);
+  const Status status = index_->Insert(CuckooHashTable::HashKey(key), *object,
+                                      &replaced, index_tally);
   if (!status.ok()) {
     memory_->RetireObject(*object);
     return status;
@@ -506,7 +509,13 @@ Status KvRuntime::Put(std::string_view key, std::string_view value) {
   // relaxed: versions only need to be distinct, not ordered across keys.
   const uint32_t version =
       version_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-  DIDO_RETURN_IF_ERROR(ApplySet(key, value, version));
+  CuckooHashTable::Counters index_tally;  // a batch of one
+  MemoryManager::Counters mem_tally;
+  const Status status =
+      ApplySet(key, value, version, &index_tally, &mem_tally);
+  index_->Accumulate(index_tally);
+  memory_->Accumulate(mem_tally);
+  DIDO_RETURN_IF_ERROR(status);
   if (durability_ != nullptr) {
     // Direct API is write-through end to end: the call returns only after
     // the record is durable (or the bounded wait degrades, counted there).
@@ -522,8 +531,10 @@ Result<std::string> KvRuntime::GetValue(std::string_view key) {
   // through the value copy, even if a concurrent eviction or overwrite
   // retires it in between.
   EpochGuard guard(epoch_);
+  CuckooHashTable::Counters tally;  // a batch of one
   KvObject* object =
-      index_->SearchVerified(CuckooHashTable::HashKey(key), key);
+      index_->SearchVerified(CuckooHashTable::HashKey(key), key, &tally);
+  index_->Accumulate(tally);
   if (object == nullptr) return Status::NotFound();
   object->RecordAccess(sampling_epoch());
   memory_->TouchObject(object);
@@ -537,8 +548,11 @@ Status KvRuntime::DeleteKey(std::string_view key) {
     // durable wait below runs unpinned.
     EpochGuard guard(epoch_);
     KvObject* removed = nullptr;
-    DIDO_RETURN_IF_ERROR(
-        index_->Delete(CuckooHashTable::HashKey(key), key, &removed));
+    CuckooHashTable::Counters tally;  // a batch of one
+    const Status status = index_->Delete(CuckooHashTable::HashKey(key), key,
+                                         &removed, nullptr, &tally);
+    index_->Accumulate(tally);
+    DIDO_RETURN_IF_ERROR(status);
     memory_->RetireObject(removed);
   }
   if (durability_ != nullptr) {

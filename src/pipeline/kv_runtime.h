@@ -52,8 +52,10 @@ class KvRuntime {
 
   // Publishes the runtime's component counters (cuckoo probes and
   // displacements, allocator traffic, epoch reclaim depth, live objects)
-  // into `registry` as collector-backed series sampled at exposition time —
-  // the hot paths keep their existing relaxed counters and gain nothing.
+  // into `registry` as collector-backed series sampled at exposition time.
+  // The dido_index_* and dido_mem_* series (frees aside) are sums of
+  // per-batch tallies: they advance when a batch retires and when a direct
+  // call (Put, GetValue, DeleteKey, Preload) returns, never per operation.
   // Undone on destruction or by re-registering against nullptr; the
   // registry must therefore outlive this runtime (or be detached first).
   void RegisterMetrics(obs::MetricsRegistry* registry);
@@ -87,8 +89,8 @@ class KvRuntime {
   }
 
   // Loads `target_objects` objects of the dataset's sizes (keys
-  // 0..target-1), stopping early if memory fills up.  Returns the number
-  // actually stored.
+  // 0..target-1), stopping after the first SET that had to evict (memory is
+  // full).  Returns the number of objects resident.
   uint64_t Preload(const DatasetSpec& dataset, uint64_t target_objects);
 
   // --- batch-global tasks ---
@@ -159,8 +161,9 @@ class KvRuntime {
   }
 
   // Retires the batch: releases its epoch pin (making everything the batch
-  // unlinked reclaimable two advances later), finalizes probe averages in
-  // the measurements, and opportunistically advances the epoch.
+  // unlinked reclaimable two advances later), opportunistically advances
+  // the epoch, derives the probe averages from the batch's index tally and
+  // folds its index and memory tallies into the exported totals.
   void RetireBatch(QueryBatch* batch);
 
   // --- direct (non-pipelined) API used by DidoStore and tests ---
@@ -174,23 +177,26 @@ class KvRuntime {
   // Allocates storage for (key, value), driving the quarantine cycle under
   // memory pressure: each round detaches a CLOCK victim, drops its stale
   // index entry, retires it to the epoch manager, attempts a reclaim, and
-  // retries.  Bounded; on exhaustion returns kOutOfMemory (counted as a
-  // failed allocation).  Victims are appended to `evictions` (required
-  // non-null) for the caller's accounting; their index entries are already
-  // gone when this returns.  When `retries` is non-null, every attempt
+  // retries.  Bounded; on exhaustion returns kOutOfMemory.  Victims are
+  // appended to `evictions` (required non-null); their index entries are
+  // already gone when this returns.  The allocation, every victim and a
+  // definitive failure are counted into `tally` (required non-null).  When `retries` is non-null, every attempt
   // beyond the first is counted into it (feeds DegradationStats).  Must not
   // be called while the calling thread holds an epoch pin — the reclaim it
   // waits for could then never happen.
   Result<KvObject*> AllocateWithEviction(
       std::string_view key, std::string_view value, uint32_t version,
       std::vector<SlabAllocator::EvictedObject>* evictions,
-      uint64_t* retries = nullptr) DIDO_TRANSFERS_OWNERSHIP;
+      MemoryManager::Counters* tally, uint64_t* retries = nullptr)
+      DIDO_TRANSFERS_OWNERSHIP;
 
   // The direct (out-of-batch) SET shared by Put and Preload: allocates
   // under eviction, then under a pin inserts, publishes, and retires the
-  // replaced version (or the new object, when its Insert fails).
+  // replaced version (or the new object, when its Insert fails).  Counts
+  // into the two tallies.
   Status ApplySet(std::string_view key, std::string_view value,
-                  uint32_t version);
+                  uint32_t version, CuckooHashTable::Counters* index_tally,
+                  MemoryManager::Counters* mem_tally);
 
   std::unique_ptr<CuckooHashTable> index_;
   // Built before epoch_ (declared below) and only stores its reference.

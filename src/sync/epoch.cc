@@ -124,6 +124,7 @@ EpochManager::PinToken EpochManager::PinShared() {
   // Same publish-then-verify dance as the slot path, with the count acting
   // as the publication: an increment against a stale epoch is undone and
   // retried, so it can only ever delay an advance, never miss one.
+  // dido-analyze: begin-allow(hot): the pin protocol, once per batch.
   for (;;) {
     const uint64_t epoch = global_epoch_.load(std::memory_order_seq_cst);
     const uint32_t generation = static_cast<uint32_t>(epoch % kGenerations);
@@ -133,6 +134,7 @@ EpochManager::PinToken EpochManager::PinShared() {
     }
     shared_pins_[generation].fetch_sub(1, std::memory_order_seq_cst);
   }
+  // dido-analyze: end-allow(hot)
 }
 
 void EpochManager::UnpinShared(PinToken token) {
@@ -158,6 +160,7 @@ void EpochManager::Retire(void* ptr, Deleter deleter, void* ctx) {
   }
   // relaxed: monotonic statistic; the amortized scan below re-checks all
   // pin state with seq_cst under reclaim_mu_.
+  // dido-analyze: allow(hot): retirement slow path (see the lock note).
   const uint64_t count = retired_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (count % options_.retires_per_scan == 0) TryReclaim();
 }
@@ -194,12 +197,14 @@ size_t EpochManager::AdvanceAndDrainLocked() {
     global_epoch_.store(epoch + 1, std::memory_order_seq_cst);
   }
   // relaxed: statistics only (see header).
+  // dido-analyze: begin-allow(hot): once per advance (amortized drain).
   advances_.fetch_add(1, std::memory_order_relaxed);
   for (const RetiredPtr& retired : drained) {
     retired.deleter(retired.ctx, retired.ptr);
   }
   // relaxed: statistics only (see header).
   reclaimed_.fetch_add(drained.size(), std::memory_order_relaxed);
+  // dido-analyze: end-allow(hot)
   return drained.size();
 }
 

@@ -101,9 +101,15 @@ TEST(CuckooHashTableStressTest, ConcurrentSearchInsertDelete) {
   constexpr int kChurnKeys = 500;
   std::vector<Entry> stable;
   std::vector<Entry> churn;
+  // One tally per thread (index 0: this thread and the writer, which runs
+  // after the stable inserts; then one per reader), summed at the end.
+  constexpr int kReaders = 2;
+  std::vector<CuckooHashTable::Counters> tallies(1 + kReaders);
   for (int i = 0; i < kStableKeys; ++i) {
     stable.push_back(make_entry("stable-" + std::to_string(i)));
-    ASSERT_TRUE(table.Insert(stable.back().hash, stable.back().object, nullptr)
+    ASSERT_TRUE(table
+                    .Insert(stable.back().hash, stable.back().object, nullptr,
+                            &tallies[0])
                     .ok());
   }
   for (int i = 0; i < kChurnKeys; ++i) {
@@ -113,7 +119,6 @@ TEST(CuckooHashTableStressTest, ConcurrentSearchInsertDelete) {
   // Readers run a fixed lookup count; the writer keeps churning (at least
   // kMinRounds) until both readers finish, so the phases genuinely overlap
   // even on a single core.
-  constexpr int kReaders = 2;
   constexpr uint64_t kLookupsPerReader = 20000;
   constexpr int kMinRounds = 10;
   std::atomic<int> readers_done{0};
@@ -122,11 +127,15 @@ TEST(CuckooHashTableStressTest, ConcurrentSearchInsertDelete) {
     while (readers_done.load() < kReaders ||
            churn_rounds.load() < kMinRounds) {
       for (Entry& entry : churn) {
-        ASSERT_TRUE(table.Insert(entry.hash, entry.object, nullptr).ok());
+        ASSERT_TRUE(
+            table.Insert(entry.hash, entry.object, nullptr, &tallies[0]).ok());
       }
       for (Entry& entry : churn) {
         KvObject* removed = nullptr;
-        ASSERT_TRUE(table.Delete(entry.hash, entry.key, &removed).ok());
+        ASSERT_TRUE(table
+                        .Delete(entry.hash, entry.key, &removed, nullptr,
+                                &tallies[0])
+                        .ok());
         ASSERT_EQ(removed, entry.object);
       }
       churn_rounds.fetch_add(1);
@@ -138,7 +147,8 @@ TEST(CuckooHashTableStressTest, ConcurrentSearchInsertDelete) {
       uint64_t i = static_cast<uint64_t>(r);
       for (uint64_t n = 0; n < kLookupsPerReader; ++n) {
         const Entry& entry = stable[i % stable.size()];
-        KvObject* found = table.SearchVerified(entry.hash, entry.key);
+        KvObject* found = table.SearchVerified(entry.hash, entry.key,
+                                               &tallies[1 + r]);
         ASSERT_EQ(found, entry.object) << "stable key lost: " << entry.key;
         i += 7;
       }
@@ -149,12 +159,14 @@ TEST(CuckooHashTableStressTest, ConcurrentSearchInsertDelete) {
   for (std::thread& reader : readers) reader.join();
 
   EXPECT_EQ(table.LiveEntries(), static_cast<uint64_t>(kStableKeys));
-  const CuckooHashTable::Counters counters = table.counters();
+  CuckooHashTable::Counters counters;
+  for (const CuckooHashTable::Counters& tally : tallies) counters += tally;
   const uint64_t rounds = churn_rounds.load();
   EXPECT_GE(rounds, static_cast<uint64_t>(kMinRounds));
   EXPECT_EQ(counters.inserts,
             static_cast<uint64_t>(kStableKeys) + rounds * kChurnKeys);
   EXPECT_EQ(counters.deletes, rounds * kChurnKeys);
+  EXPECT_EQ(counters.searches, kReaders * kLookupsPerReader);
 }
 
 // ------------------------------------------------------ SlabAllocator --

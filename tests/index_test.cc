@@ -150,14 +150,25 @@ TEST(CuckooTest, CountersTrackProbes) {
   CuckooHashTable table(SmallTable());
   KvObject* object = pool.Make("key");
   const uint64_t hash = CuckooHashTable::HashKey("key");
-  ASSERT_TRUE(table.Insert(hash, object, nullptr).ok());
-  table.ResetCounters();
+  CuckooHashTable::Counters tally;
+  ASSERT_TRUE(table.Insert(hash, object, nullptr, &tally).ok());
+  EXPECT_EQ(tally.inserts, 1u);
+  tally = CuckooHashTable::Counters();
   KvObject* candidates[8];
-  table.Search(hash, candidates, 8);
-  EXPECT_EQ(table.counters().searches, 1u);
+  table.Search(hash, candidates, 8, &tally);
+  EXPECT_EQ(tally.searches, 1u);
   // Both buckets are read for correctness.
-  EXPECT_EQ(table.counters().search_buckets_probed, 2u);
-  EXPECT_EQ(table.counters().search_primary_hits, 1u);
+  EXPECT_EQ(tally.search_buckets_probed, 2u);
+  EXPECT_EQ(tally.search_primary_hits, 1u);
+  // An uncounted call adds nothing, and the totals hold only what was
+  // folded in.
+  table.Search(hash, candidates, 8);
+  EXPECT_EQ(tally.searches, 1u);
+  EXPECT_EQ(table.counters().searches, 0u);
+  table.Accumulate(tally);
+  table.Accumulate(tally);
+  EXPECT_EQ(table.counters().searches, 2u);
+  EXPECT_EQ(table.counters().search_buckets_probed, 4u);
 }
 
 TEST(CuckooTest, DisplacementMakesRoom) {

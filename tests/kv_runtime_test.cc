@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -343,6 +344,181 @@ TEST(KvRuntimeTest, MeasuredProbeAveragesAreSane) {
   EXPECT_DOUBLE_EQ(m.delete_probes, 0.0);
 }
 
+// Two batches in flight on one runtime, their tasks interleaved: each
+// batch's tally and probe averages count its own queries only, and the
+// exported totals grow by exactly the two tallies.
+TEST(KvRuntimeTest, InFlightBatchesCountOnlyTheirOwnOperations) {
+  KvRuntime runtime(SmallRuntime());
+  const uint64_t objects = runtime.Preload(DatasetK16(), 5000);
+  const CuckooHashTable::Counters index_before = runtime.index().counters();
+  const MemoryManager::Counters mem_before = runtime.memory().counters();
+  WorkloadGenerator reads(
+      MakeWorkload(DatasetK16(), 100, KeyDistribution::kUniform), objects, 3);
+  WorkloadGenerator writes(
+      MakeWorkload(DatasetK16(), 50, KeyDistribution::kUniform), objects, 4);
+  TrafficSource read_source(&reads);
+  TrafficSource write_source(&writes);
+  QueryBatch a;
+  QueryBatch b;
+  for (auto [batch, source] :
+       {std::pair{&a, &read_source}, std::pair{&b, &write_source}}) {
+    batch->config = PipelineConfig::MegaKv();
+    size_t queries = 0;
+    while (queries < 1000) {
+      queries += source->FillFrame(&batch->AppendFrame(&batch->frames),
+                                   nullptr);
+    }
+  }
+  ASSERT_TRUE(runtime.RunPacketProcessing(&a).ok());
+  ASSERT_TRUE(runtime.RunPacketProcessing(&b).ok());
+  for (TaskKind task : {TaskKind::kMm, TaskKind::kInSearch,
+                        TaskKind::kInInsert, TaskKind::kInDelete,
+                        TaskKind::kKc, TaskKind::kRd, TaskKind::kWr}) {
+    runtime.RunRangeTask(task, &a, 0, a.size());
+    runtime.RunRangeTask(task, &b, 0, b.size());
+  }
+  runtime.RetireBatch(&a);
+  runtime.RetireBatch(&b);
+
+  const BatchMeasurements& ma = a.measurements;
+  const BatchMeasurements& mb = b.measurements;
+  ASSERT_EQ(ma.sets, 0u);
+  ASSERT_GT(mb.sets, 0u);
+  EXPECT_EQ(ma.index.searches, ma.gets);
+  EXPECT_EQ(ma.index.inserts, 0u);
+  EXPECT_EQ(mb.index.searches, mb.gets);
+  EXPECT_EQ(mb.index.inserts, mb.sets);
+  EXPECT_EQ(ma.mem.allocations, 0u);
+  EXPECT_EQ(mb.mem.allocations, mb.sets);
+  EXPECT_DOUBLE_EQ(ma.search_probes, 2.0);
+  EXPECT_DOUBLE_EQ(ma.insert_probes, 0.0);
+  EXPECT_DOUBLE_EQ(mb.search_probes, 2.0);
+  EXPECT_GE(mb.insert_probes, 1.0);
+
+  const CuckooHashTable::Counters index = runtime.index().counters();
+  EXPECT_EQ(index.searches - index_before.searches,
+            ma.index.searches + mb.index.searches);
+  EXPECT_EQ(index.search_buckets_probed - index_before.search_buckets_probed,
+            ma.index.search_buckets_probed + mb.index.search_buckets_probed);
+  EXPECT_EQ(index.inserts - index_before.inserts, mb.index.inserts);
+  EXPECT_EQ(index.insert_buckets_probed - index_before.insert_buckets_probed,
+            mb.index.insert_buckets_probed);
+  EXPECT_EQ(runtime.memory().counters().allocations - mem_before.allocations,
+            mb.mem.allocations);
+}
+
+// The dido_index_* and dido_mem_* counter series, read off the metrics
+// exposition as integers.
+std::map<std::string, uint64_t> ExportedCounters(
+    const obs::MetricsRegistry& registry) {
+  std::map<std::string, uint64_t> series;
+  std::istringstream lines(registry.RenderPrometheus());
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::string name = line.substr(0, line.find(' '));
+    if ((name.starts_with("dido_index_") || name.starts_with("dido_mem_")) &&
+        name.ends_with("_total")) {
+      series[name] = std::stoull(line.substr(name.size() + 1));
+    }
+  }
+  return series;
+}
+
+std::map<std::string, uint64_t> SeriesOf(const CuckooHashTable::Counters& i,
+                                         const MemoryManager::Counters& m,
+                                         uint64_t frees) {
+  return {
+      {"dido_index_searches_total", i.searches},
+      {"dido_index_search_buckets_probed_total", i.search_buckets_probed},
+      {"dido_index_search_primary_hits_total", i.search_primary_hits},
+      {"dido_index_inserts_total", i.inserts},
+      {"dido_index_insert_buckets_probed_total", i.insert_buckets_probed},
+      {"dido_index_displacements_total", i.displacements},
+      {"dido_index_deletes_total", i.deletes},
+      {"dido_index_delete_buckets_probed_total", i.delete_buckets_probed},
+      {"dido_index_failed_inserts_total", i.failed_inserts},
+      {"dido_mem_allocations_total", m.allocations},
+      {"dido_mem_evictions_total", m.evictions},
+      {"dido_mem_frees_total", frees},
+      {"dido_mem_failed_allocations_total", m.failed_allocations},
+  };
+}
+
+// Every exported index and memory series is the sum of the tallies folded
+// into it: the preload's, one per direct call, and one per retired batch.
+TEST(KvRuntimeTest, ExportedCountersAreSumsOfTallies) {
+  KvRuntime runtime(SmallRuntime());
+  obs::MetricsRegistry registry;
+  runtime.RegisterMetrics(&registry);
+  const uint64_t objects = runtime.Preload(DatasetK16(), 2000);
+  ASSERT_EQ(objects, 2000u);
+  // The preload: 2000 SETs of new keys, each probing both buckets for an
+  // old version before it claims a slot.
+  CuckooHashTable::Counters index;
+  index.inserts = 2000;
+  index.insert_buckets_probed = 4000;
+  MemoryManager::Counters mem;
+  mem.allocations = 2000;
+  EXPECT_EQ(ExportedCounters(registry), SeriesOf(index, mem, 0));
+
+  // Direct calls, each a batch of one.  Keys sit in their primary bucket
+  // (the table is nearly empty), so hits resolve in the first bucket.
+  ASSERT_TRUE(runtime.Put(KeyFor(1, 16), "new value").ok());
+  index.inserts += 1;
+  index.insert_buckets_probed += 1;
+  mem.allocations += 1;
+  ASSERT_TRUE(runtime.GetValue(KeyFor(2, 16)).ok());
+  index.searches += 1;
+  index.search_buckets_probed += 2;
+  index.search_primary_hits += 1;
+  ASSERT_TRUE(runtime.DeleteKey(KeyFor(3, 16)).ok());
+  index.deletes += 1;
+  index.delete_buckets_probed += 1;
+  ASSERT_EQ(runtime.DeleteKey(KeyFor(3, 16)).code(), StatusCode::kNotFound);
+  index.deletes += 1;
+  index.delete_buckets_probed += 2;
+  runtime.epoch().ReclaimAll();
+  // Frees are not a tally: the replaced and the deleted object, counted by
+  // the epoch deleter.
+  EXPECT_EQ(ExportedCounters(registry), SeriesOf(index, mem, 2));
+
+  WorkloadGenerator generator(
+      MakeWorkload(DatasetK16(), 50, KeyDistribution::kUniform), objects, 7);
+  TrafficSource source(&generator);
+  for (int i = 0; i < 4; ++i) {
+    const BatchMeasurements m =
+        RunFullBatch(runtime, PipelineConfig::MegaKv(), source, 1000);
+    EXPECT_GT(m.index.inserts, 0u);
+    index += m.index;
+    mem += m.mem;
+  }
+  EXPECT_EQ(ExportedCounters(registry),
+            SeriesOf(index, mem, runtime.memory().counters().frees));
+  runtime.RegisterMetrics(nullptr);
+}
+
+// Allocation counts through the SET path: one allocation per SET, one
+// eviction per SET past capacity (a retryable out-of-memory is not a
+// failure), and one failed allocation for an object no chunk can hold.
+TEST(KvRuntimeTest, CountersTrackOperations) {
+  KvRuntime::Options options = SmallRuntime();
+  options.slab.arena_bytes = 64 << 10;  // one page of 64-byte chunks
+  options.slab.page_bytes = 64 << 10;
+  KvRuntime runtime(options);
+  const uint64_t capacity =
+      runtime.memory().allocator().CapacityForObject(8, 1);
+  ASSERT_EQ(capacity, (64u << 10) / 64);
+  for (uint64_t i = 0; i < capacity + 5; ++i) {
+    ASSERT_TRUE(runtime.Put("key" + std::to_string(10000 + i), "v").ok());
+  }
+  EXPECT_EQ(runtime.memory().counters().allocations, capacity + 5);
+  EXPECT_EQ(runtime.memory().counters().evictions, 5u);
+  EXPECT_EQ(runtime.memory().counters().failed_allocations, 0u);
+  EXPECT_FALSE(runtime.Put("k", std::string(1 << 20, 'x')).ok());
+  EXPECT_EQ(runtime.memory().counters().failed_allocations, 1u);
+  EXPECT_EQ(runtime.memory().counters().allocations, capacity + 5);
+}
+
 TEST(KvRuntimeTest, EvictionPathUnderMemoryPressure) {
   KvRuntime::Options options = SmallRuntime();
   options.slab.arena_bytes = 1 << 20;  // tiny arena
@@ -355,7 +531,7 @@ TEST(KvRuntimeTest, EvictionPathUnderMemoryPressure) {
   TrafficSource source(&generator);
   const BatchMeasurements m =
       RunFullBatch(runtime, PipelineConfig::MegaKv(), source, 1000);
-  EXPECT_GT(m.evictions, 0u);
+  EXPECT_GT(m.mem.evictions, 0u);
   // Live object count cannot exceed what memory supports.
   EXPECT_LE(runtime.live_objects(), objects + 10);
 }
@@ -390,7 +566,7 @@ TEST(KvRuntimeTest, AllocationGiveUpPathPropagatesError) {
   EXPECT_EQ(batch.queries[0].object, nullptr);
   EXPECT_EQ(batch.measurements.failed_inserts, 1u);
   EXPECT_GT(batch.measurements.set_retries, 0u);
-  EXPECT_GE(runtime.memory().counters().failed_allocations, 1u);
+  EXPECT_EQ(batch.measurements.mem.failed_allocations, 1u);
 
   // WR still answers the query — with an explicit error record.
   runtime.RunWriteResponse(&batch, 0, 1);
@@ -403,6 +579,7 @@ TEST(KvRuntimeTest, AllocationGiveUpPathPropagatesError) {
                   .ok());
   EXPECT_EQ(view.status, ResponseStatus::kError);
   runtime.RetireBatch(&batch);
+  EXPECT_GE(runtime.memory().counters().failed_allocations, 1u);
 
   // Once the pin releases, reclamation resumes and allocation recovers.
   pin.Release();
@@ -442,8 +619,7 @@ TEST(KvRuntimeTest, EvictionSkipsObjectAwaitingIndexInsert) {
   ASSERT_EQ(a.queries[0].status, ResponseStatus::kStored);
   KvObject* object_a = a.queries[0].object;
   ASSERT_NE(object_a, nullptr);
-  EXPECT_GE(a.queries[0].evictions, 1u);
-  EXPECT_EQ(a.measurements.evictions, a.queries[0].evictions);
+  EXPECT_GE(a.measurements.mem.evictions, 1u);
 
   // The hand now sits just past A's chunk: B's eviction sweeps the whole
   // page again and reaches A's chunk before any cleared bit.
@@ -454,7 +630,7 @@ TEST(KvRuntimeTest, EvictionSkipsObjectAwaitingIndexInsert) {
   MakeSetBatch(key_b, value_b, &b);
   runtime.RunMemoryManagement(&b, 0, 1);
   ASSERT_EQ(b.queries[0].status, ResponseStatus::kStored);
-  EXPECT_GE(b.measurements.evictions, 1u);
+  EXPECT_GE(b.measurements.mem.evictions, 1u);
   // A still owns its chunk and is still waiting for its Insert.
   EXPECT_EQ(object_a->flags & KvObject::kFlagDetached, 0);
   EXPECT_EQ(object_a->Key(), key_a);

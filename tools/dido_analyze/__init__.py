@@ -13,9 +13,10 @@ cannot see:
               data member must carry DIDO_GUARDED_BY (or an explicit
               allow comment saying why not).
   hot      -- nothing reachable through the call graph from a DIDO_HOT
-              stage kernel may acquire a mutex, allocate, log, or block
-              (hot-path purity; keeps the paper's Fig. 4 stage-time model
-              honest and underwrites ROADMAP item 3).
+              stage kernel may acquire a mutex, allocate, log, block, or
+              do an atomic read-modify-write (hot-path purity; keeps the
+              paper's Fig. 4 stage-time model honest and underwrites
+              ROADMAP item 3).
   own      -- the result of a DIDO_TRANSFERS_OWNERSHIP allocation must,
               on every path through the caller, reach an index insert,
               a Retire*/Free, or an annotated hand-off — no silent slab

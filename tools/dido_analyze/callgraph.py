@@ -87,11 +87,19 @@ SYSCALL_RE = re.compile(
     r"\s*\("
     r"|\bstd::c(?:out|err|log)\b")
 
+# Atomic read-modify-writes: on a word other threads also write, each one
+# pulls the cache line over exclusively, so a per-op statistic kept this way
+# costs every stage thread a line transfer per query.
+SHARED_RE = re.compile(
+    r"(?:\.|->)\s*(?:fetch_(?:add|sub|or|and|xor)|exchange"
+    r"|compare_exchange_(?:weak|strong))\s*\(")
+
 PRIMITIVES = (
     ("lock", LOCK_RE, "mutex acquisition"),
     ("alloc", ALLOC_RE, "heap allocation"),
     ("block", BLOCK_RE, "blocking wait"),
     ("syscall", SYSCALL_RE, "syscall/logging"),
+    ("shared", SHARED_RE, "atomic read-modify-write"),
 )
 
 

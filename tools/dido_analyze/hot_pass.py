@@ -12,6 +12,10 @@ for impurity primitives:
            std::to_string, std::string temporaries
   block    sleep_for/sleep_until, .join(), condition-variable waits
   syscall  DIDO_LOG (non-Fatal), printf family, iostreams
+  shared   atomic read-modify-writes (.fetch_add/.fetch_sub/.fetch_or/...,
+           .exchange, .compare_exchange_*): per-op counts belong in a
+           caller-owned tally; a protocol RMW (slot CAS, epoch pin) keeps
+           its allow(hot) reason
 
 DIDO_LOG(Fatal) and DIDO_CHECK are exempt: they terminate the process, so
 they are never part of a *successful* hot path.  Each finding is reported
