@@ -1,7 +1,7 @@
 // Fig. 10 — DIDO versus the measured-optimal configuration.  For each
 // workload the entire configuration space is *executed* (not just
-// predicted) and DIDO's cost-model-chosen throughput is normalized against
-// the best and worst configurations found.
+// predicted) and DIDO's cost-model-chosen throughput is expressed relative
+// to the best and worst configurations found.
 //
 // Paper reference: across the seven workloads where DIDO's choice differed
 // from the oracle, the optimum was only 6.6% faster on average, while a

@@ -12,9 +12,7 @@
 #include <thread>
 
 #include "bench/bench_util.h"
-#include "costmodel/cost_model.h"
 #include "live/live_pipeline.h"
-#include "obs/drift.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -73,7 +71,6 @@ int main() {
   WorkloadGenerator generator(workload, objects, 11);
   TrafficSource source(&generator);
   runtime.RegisterMetrics(&registry);
-  const CostModel cost_model(DefaultKaveriSpec(), CostModelOptions());
 
   PipelineConfig config;
   config.gpu_begin = 3;
@@ -85,7 +82,6 @@ int main() {
   options.batch_queries = 4096;
   options.keep_responses = false;
   options.metrics = &registry;
-  options.cost_model = &cost_model;
   LivePipeline pipeline(&runtime, config, options);
   DIDO_CHECK(pipeline.Start(&source).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(2000));

@@ -9,9 +9,9 @@
 // comparison.
 //
 // Observability: a MetricsRegistry collects per-stage latency histograms,
-// degradation counters, index/heap/epoch collector series and cost-model
-// drift gauges; a background reporter thread prints a one-line pulse every
-// 500 ms (what you would scrape in production).  On exit the example writes
+// degradation counters and index/heap/epoch collector series; a background
+// reporter thread prints a one-line pulse every 500 ms (what you would
+// scrape in production).  On exit the example writes
 //   live_server_metrics.prom  — Prometheus text exposition
 //   live_server_metrics.json  — same data as JSON
 //   live_server_trace.json    — Chrome trace_event file (chrome://tracing)
@@ -24,11 +24,8 @@
 
 #include "common/logging.h"
 #include "core/system_runner.h"
-#include "costmodel/cost_model.h"
 #include "live/live_pipeline.h"
-#include "obs/drift.h"
 #include "obs/metrics.h"
-#include "obs/recalibrate.h"
 #include "obs/trace.h"
 
 using namespace dido;
@@ -51,15 +48,12 @@ void ReporterLoop(obs::MetricsRegistry& registry,
     const uint64_t queries = counter_value("dido_live_queries_total");
     const uint64_t batches = counter_value("dido_live_batches_total");
     const uint64_t shed = counter_value("dido_live_shed_batches_total");
-    const double drift = gauge_value("dido_live_costmodel_tmax_abs_rel_error");
     const double degraded = gauge_value("dido_live_degraded");
-    const double recal_gen = gauge_value("dido_recal_generation");
-    std::printf(
-        "  [obs] %8.2f kq/s | %lu batches | %lu shed | drift %.3f | "
-        "recal gen %.0f | %s\n",
-        static_cast<double>(queries - last_queries) / 500.0,
-        static_cast<unsigned long>(batches), static_cast<unsigned long>(shed),
-        drift, recal_gen, degraded > 0.5 ? "DEGRADED" : "healthy");
+    std::printf("  [obs] %8.2f kq/s | %lu batches | %lu shed | %s\n",
+                static_cast<double>(queries - last_queries) / 500.0,
+                static_cast<unsigned long>(batches),
+                static_cast<unsigned long>(shed),
+                degraded > 0.5 ? "DEGRADED" : "healthy");
     last_queries = queries;
   }
 }
@@ -67,9 +61,7 @@ void ReporterLoop(obs::MetricsRegistry& registry,
 LivePipeline::Stats ServeLive(KvRuntime& runtime, const PipelineConfig& config,
                               TrafficSource& source, int millis,
                               obs::MetricsRegistry* metrics,
-                              obs::TraceCollector* trace,
-                              const CostModel* cost_model,
-                              obs::OnlineCalibrator* calibrator) {
+                              obs::TraceCollector* trace) {
   // Bounded TX ring with drop-oldest overflow: under overload the server
   // abandons the stalest responses rather than blocking the pipeline.
   FrameRing tx_ring(4096, OverflowPolicy::kDropOldest);
@@ -79,8 +71,6 @@ LivePipeline::Stats ServeLive(KvRuntime& runtime, const PipelineConfig& config,
   options.response_ring = &tx_ring;
   options.metrics = metrics;
   options.trace = trace;
-  options.cost_model = cost_model;
-  options.calibrator = calibrator;
   LivePipeline pipeline(&runtime, config, options);
   DIDO_CHECK(pipeline.Start(&source).ok());
 
@@ -111,25 +101,11 @@ int main() {
   std::printf("--------------------------------------------------------\n");
 
   // The unified registry every subsystem publishes into, plus a span
-  // collector for the Chrome trace and the APU cost model whose predictions
-  // the drift gauges audit.  Declared before the runtime: components
-  // unregister their collectors on destruction, so the registry must
-  // outlive everything registered with it.
+  // collector for the Chrome trace.  Declared before the runtime:
+  // components unregister their collectors on destruction, so the registry
+  // must outlive everything registered with it.
   obs::MetricsRegistry metrics;
   obs::TraceCollector trace(1 << 16);
-  CostModel cost_model(DefaultKaveriSpec(), CostModelOptions());
-
-  // Closed calibration loop (DESIGN.md §12): the drift tracker feeds
-  // normalized residuals into the calibrator, and every committed fit is
-  // pushed back into the cost model the drift gauges audit.  On a host
-  // whose relative CPU/GPU behaviour matches the spec the loop simply
-  // stays at generation 0 — the gauges still prove it is armed.
-  obs::OnlineCalibrator::Options recal_options;
-  recal_options.on_commit = [&cost_model](const CalibrationOverlay& overlay) {
-    cost_model.ApplyCalibration(overlay);
-  };
-  obs::OnlineCalibrator calibrator(recal_options);
-  calibrator.AttachObservability(&metrics, &trace);
 
   KvRuntime::Options rt;
   rt.slab.arena_bytes = 64 << 20;
@@ -156,9 +132,8 @@ int main() {
        {std::pair<const char*, PipelineConfig>{"DIDO-style", dido_config},
         std::pair<const char*, PipelineConfig>{"Mega-KV static",
                                                PipelineConfig::MegaKv()}}) {
-    const LivePipeline::Stats stats = ServeLive(
-        runtime, config, source, 2000, &metrics, &trace, &cost_model,
-        &calibrator);
+    const LivePipeline::Stats stats =
+        ServeLive(runtime, config, source, 2000, &metrics, &trace);
     std::printf("%-16s %s\n", name, config.ToString().c_str());
     std::printf("  %.2f s wall, %lu batches, %lu queries, %.2f Mops "
                 "(host machine), hit ratio %.2f%%\n",
@@ -186,19 +161,6 @@ int main() {
 
   // Final exposition artifacts: what a scrape endpoint / trace dump would
   // serve on a production deployment.
-  const double drift =
-      metrics.GetGauge("dido_live_costmodel_tmax_abs_rel_error")->Value();
-  std::printf("cost-model drift (rolling |T_max err|, normalized): %.3f over "
-              "%lu audited batches\n",
-              drift,
-              static_cast<unsigned long>(
-                  metrics.GetCounter("dido_live_costmodel_batches_total")
-                      ->Value()));
-  const CalibrationOverlay overlay = calibrator.overlay();
-  std::printf("calibration: generation %lu, scales CPU %.3f / GPU %.3f "
-              "(gen 0 = host matches the spec's relative CPU/GPU costs)\n",
-              static_cast<unsigned long>(overlay.generation),
-              overlay.cpu_scale, overlay.gpu_scale);
   if (WriteFile("live_server_metrics.prom", metrics.RenderPrometheus()) &&
       WriteFile("live_server_metrics.json", metrics.RenderJson()) &&
       WriteFile("live_server_trace.json", trace.RenderChromeTrace())) {

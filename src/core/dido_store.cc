@@ -8,6 +8,27 @@
 #include "obs/metrics.h"
 
 namespace dido {
+namespace {
+
+// Feeds one executed batch to `tracker`: `prediction`'s per-stage times
+// (after work stealing) and devices against `observed_us`, the batch's
+// simulated time per stage.  Skips the batch when the stage counts differ.
+void ObservePredictionDrift(const Prediction& prediction,
+                            const std::vector<double>& observed_us,
+                            obs::CostDriftTracker* tracker) {
+  if (prediction.stages.size() != observed_us.size()) return;
+  std::vector<double> predicted_us;
+  std::vector<Device> devices;
+  predicted_us.reserve(observed_us.size());
+  devices.reserve(observed_us.size());
+  for (const StagePrediction& stage : prediction.stages) {
+    predicted_us.push_back(stage.time_after_steal_us);
+    devices.push_back(stage.device);
+  }
+  tracker->ObserveBatch(predicted_us, observed_us, devices);
+}
+
+}  // namespace
 
 KvRuntime::Options MakeRuntimeOptions(const DidoOptions& options) {
   KvRuntime::Options rt;
@@ -127,13 +148,11 @@ void DidoStore::AttachObservability(obs::MetricsRegistry* metrics,
   }
   replans_counter_ = metrics->GetCounter(
       "dido_replans_total", "Cost-model re-planning passes executed");
+  // Both sides of the drift comparison are simulated-APU microseconds (the
+  // paper's Fig. 9 prediction-error setting, evaluated continuously).
   obs::CostDriftTracker::Options drift_options;
-  drift_options.prefix = "dido_sim_costmodel";
-  // Raw comparison: both sides are simulated-APU microseconds (the paper's
-  // Fig. 9 prediction-error setting, evaluated continuously).
-  drift_options.normalize = false;
   if (options_.recalibrate) {
-    obs::OnlineCalibrator::Options recal = options_.recalibrate_options;
+    obs::OnlineCalibrator::Options recal;
     // Committed fits land in the cost model immediately; the next
     // prediction — and the next planner pass — runs under the new scales.
     recal.on_commit = [this](const CalibrationOverlay& overlay) {

@@ -51,7 +51,6 @@ struct DidoOptions {
   // re-planning pass even when the workload itself has not drifted.  A/B
   // benches set this false to measure the open-loop baseline.
   bool recalibrate = true;
-  obs::OnlineCalibrator::Options recalibrate_options;
 
   // Opt-in durability tier (DESIGN.md §11): when enabled, construction
   // recovers the image in durability.dir (checkpoint + log replay), every
@@ -135,9 +134,9 @@ class DidoStore {
 
   // Wires the whole store into the observability layer: the runtime's
   // component collectors, the executor's dido_sim_* series and virtual-
-  // timeline spans, a dido_replans_total counter, and a raw-mode (µs vs µs)
-  // cost-model drift tracker under dido_sim_costmodel_* that compares each
-  // served batch's prediction to its simulated stage times.  When
+  // timeline spans, a dido_replans_total counter, and the cost-model drift
+  // tracker (dido_sim_costmodel_*) that compares each served batch's
+  // predicted stage times to its simulated ones, µs vs µs.  When
   // options.recalibrate is set, the drift tracker additionally feeds an
   // OnlineCalibrator (dido_recal_* series) whose committed fits flow back
   // into the cost model.  `trace` may be null; `metrics` null detaches

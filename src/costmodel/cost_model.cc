@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "obs/drift.h"
 
 namespace dido {
 namespace {
@@ -209,21 +208,6 @@ Prediction CostModel::Predict(const PipelineConfig& config,
     if (std::fabs(scale - 1.0) < 0.04) break;
   }
   return prediction;
-}
-
-void ObservePredictionDrift(const Prediction& prediction,
-                            const std::vector<double>& observed_us,
-                            obs::CostDriftTracker* tracker) {
-  if (prediction.stages.size() != observed_us.size()) return;
-  std::vector<double> predicted_us;
-  std::vector<Device> devices;
-  predicted_us.reserve(observed_us.size());
-  devices.reserve(observed_us.size());
-  for (const StagePrediction& stage : prediction.stages) {
-    predicted_us.push_back(stage.time_after_steal_us);
-    devices.push_back(stage.device);
-  }
-  tracker->ObserveBatch(predicted_us, observed_us, devices);
 }
 
 }  // namespace dido

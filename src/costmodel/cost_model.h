@@ -13,10 +13,6 @@
 
 namespace dido {
 
-namespace obs {
-class CostDriftTracker;
-}
-
 // Tuning switches of the analytic predictor; the defaults reproduce the
 // paper's model, the alternates drive the ablation benchmarks.
 struct CostModelOptions {
@@ -103,13 +99,6 @@ class CostModel {
   CostModelOptions options_;
   std::unique_ptr<InterferenceGrid> grid_;
 };
-
-// Feeds one executed batch to `tracker`: `prediction`'s per-stage times
-// (after work stealing) and devices against `observed_us`, the batch's
-// observed time per stage.  Skips the batch when the stage counts differ.
-void ObservePredictionDrift(const Prediction& prediction,
-                            const std::vector<double>& observed_us,
-                            obs::CostDriftTracker* tracker);
 
 }  // namespace dido
 

@@ -242,8 +242,7 @@ Status CuckooHashTable::Insert(uint64_t hash, KvObject* object,
 }
 
 Status CuckooHashTable::Delete(uint64_t hash, std::string_view key,
-                               KvObject** removed, const KvObject* exclude,
-                               Counters* tally) {
+                               KvObject** removed, Counters* tally) {
   if (tally == nullptr) tally = &Uncounted();
   const uint16_t signature = SignatureOf(hash);
   const uint64_t b1 = PrimaryBucket(hash);
@@ -256,7 +255,7 @@ Status CuckooHashTable::Delete(uint64_t hash, std::string_view key,
       uint64_t entry = buckets_[b].slots[s].load(std::memory_order_acquire);
       if (entry == 0 || EntrySignature(entry) != signature) continue;
       KvObject* object = EntryObject(entry);
-      if (object == exclude || object->Key() != key) continue;
+      if (object->Key() != key) continue;
       // dido-analyze: allow(hot): slot CAS, the unlink protocol.
       if (buckets_[b].slots[s].compare_exchange_strong(
               entry, 0, std::memory_order_acq_rel)) {

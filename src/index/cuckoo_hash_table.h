@@ -96,13 +96,10 @@ class CuckooHashTable {
                 Counters* tally = nullptr) DIDO_REQUIRES_EPOCH;
 
   // Removes the entry for `key`; returns the unlinked object through
-  // `removed` (caller frees it).  kNotFound if absent.  Entries pointing at
-  // `exclude` are skipped — the SET path uses this to unlink a key's old
-  // version without racing its own freshly inserted one.  Epoch contract:
-  // as Insert — full-key comparison dereferences resident objects.
+  // `removed` (caller frees it).  kNotFound if absent.  Epoch contract: as
+  // Insert — full-key comparison dereferences resident objects.
   Status Delete(uint64_t hash, std::string_view key, KvObject** removed,
-                const KvObject* exclude = nullptr, Counters* tally = nullptr)
-      DIDO_REQUIRES_EPOCH;
+                Counters* tally = nullptr) DIDO_REQUIRES_EPOCH;
 
   // Removes the entry pointing at exactly `object` (eviction path, where the
   // victim identity is known).  kNotFound if the index no longer holds it.

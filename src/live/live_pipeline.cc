@@ -7,13 +7,10 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "costmodel/cost_model.h"
 #include "durability/durability.h"
 #include "faults/fault_registry.h"
-#include "obs/drift.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "pipeline/pipeline_executor.h"
 #include "sim/device_spec.h"
 #include "sync/epoch.h"
 
@@ -182,28 +179,6 @@ void LivePipeline::SetupObservability() {
       "dido_live_repromotions_total", "Watchdog degraded -> healthy returns");
   degraded_gauge_ =
       reg->GetGauge("dido_live_degraded", "1 while failed over, else 0");
-  if (options_.cost_model != nullptr) {
-    obs::CostDriftTracker::Options drift_options;
-    drift_options.normalize = true;  // simulated-APU pred vs host wall obs
-    drift_options.prefix = "dido_live_costmodel";
-    drift_options.calibrator = options_.calibrator;
-    drift_ = std::make_unique<obs::CostDriftTracker>(reg, drift_options);
-  }
-}
-
-void LivePipeline::ObserveDrift(const QueryBatch& batch) {
-  if (drift_ == nullptr || options_.cost_model == nullptr) return;
-  const BatchObs& observed = batch.obs;
-  if (observed.num_stages == 0 || batch.measurements.num_queries == 0) return;
-  ObservePredictionDrift(
-      options_.cost_model->PredictAtBatchSize(
-          batch.config, ProfileFromBatch(batch, *runtime_),
-          batch.measurements.num_queries),
-      std::vector<double>(
-          observed.stage_execute_us.begin(),
-          observed.stage_execute_us.begin() +
-              static_cast<std::ptrdiff_t>(observed.num_stages)),
-      drift_.get());
 }
 
 Status LivePipeline::Start(TrafficSource* source) {
@@ -342,9 +317,6 @@ void LivePipeline::ExecuteStage(size_t lane, bool degraded, QueryBatch* batch,
 
   const double execute_us =
       MicrosBetween(start, std::chrono::steady_clock::now());
-  if (lane < BatchObs::kMaxStages) {
-    batch->obs.stage_execute_us[lane] = execute_us;
-  }
   Observe(metrics.execute_us, execute_us);
   Bump(metrics.batches);
   if (!tracing) return;
@@ -382,15 +354,13 @@ void LivePipeline::RetireAndCount(QueryBatch* batch, bool degraded_inline) {
     }
   }
   const BatchMeasurements& m = batch->measurements;
-  // Metrics + drift before taking stats_mu_: the drift prediction runs the
-  // full cost model and must not extend the stats critical section.
+  // Metrics before taking stats_mu_, to keep the stats critical section short.
   Bump(batches_retired_counter_);
   Bump(queries_retired_counter_, m.num_queries);
   Bump(set_retries_counter_, m.set_retries);
   Bump(error_responses_counter_, m.error_responses);
   Bump(log_append_failures_counter_, m.log_append_failures);
   if (durable_timeout) Bump(durable_timeouts_counter_);
-  ObserveDrift(*batch);
   MutexLock lock(stats_mu_);
   stats_.batches += 1;
   stats_.queries += m.num_queries;
@@ -458,10 +428,9 @@ void LivePipeline::IngressLoop(TrafficSource* source) {
     if (degraded || queues_.empty()) {
       // Inline, retire inline: a single-stage pipeline's one stage, or,
       // failed over, the whole degraded CPU-only chain, bypassing the
-      // stalled stage graph.  Either is one "stage" for drift purposes.
+      // stalled stage graph.
       if (degraded) batch->config = options_.degraded_config;
       ExecuteStage(0, degraded, batch.get(), ingest_start, trace_start);
-      batch->obs.num_stages = 1;
       RetireAndCount(batch.get(), degraded);
       RecycleBatch(std::move(batch));
       continue;
@@ -492,7 +461,6 @@ void LivePipeline::IngressLoop(TrafficSource* source) {
     const Clock::time_point admission_end = Clock::now();
     const double admission_wait_us =
         MicrosBetween(admission_start, admission_end);
-    batch->obs.stage_queue_wait_us[0] = admission_wait_us;
     Observe(stage_metrics_[0].queue_wait_us, admission_wait_us);
     if (admission_wait_us >= 1.0) {
       TraceComplete(trace, "admission_wait", "queue", admission_trace_start,
@@ -504,8 +472,7 @@ void LivePipeline::IngressLoop(TrafficSource* source) {
     ExecuteStage(0, /*degraded=*/false, batch.get(),
                  ingest_start + (admission_end - admission_start),
                  trace_start);
-    batch->obs.num_stages = stages_.size();
-    batch->obs.enqueued_at = Clock::now();
+    batch->enqueued_at = Clock::now();
     if (!queues_[0]->Push(std::move(batch))) break;
   }
   if (!queues_.empty()) queues_[0]->Close();
@@ -543,12 +510,9 @@ void LivePipeline::StageLoop(size_t stage_index) {
     const uint64_t stage_trace_start =
         trace != nullptr && trace->enabled() ? trace->NowMicros() : 0;
     const double queue_wait_us =
-        batch->obs.enqueued_at == Clock::time_point{}
+        batch->enqueued_at == Clock::time_point{}
             ? 0.0
-            : MicrosBetween(batch->obs.enqueued_at, execute_start);
-    if (stage_index < BatchObs::kMaxStages) {
-      batch->obs.stage_queue_wait_us[stage_index] = queue_wait_us;
-    }
+            : MicrosBetween(batch->enqueued_at, execute_start);
     Observe(stage_metrics_[stage_index].queue_wait_us, queue_wait_us);
     if (trace != nullptr && trace->enabled()) {
       obs::TraceSpan span;
@@ -580,7 +544,7 @@ void LivePipeline::StageLoop(size_t stage_index) {
                  stage_trace_start);
 
     if (!is_last) {
-      batch->obs.enqueued_at = Clock::now();
+      batch->enqueued_at = Clock::now();
       // dido-analyze: allow(hot): downstream hand-off — the queue push's
       // mutex section and full-queue backpressure wait are the pipeline's
       // coupling mechanism, once per batch (see the Pop note above).
@@ -592,9 +556,9 @@ void LivePipeline::StageLoop(size_t stage_index) {
     }
 
     // dido-analyze: allow(hot): end-of-pipeline bookkeeping — batch
-    // retirement (epoch hand-off of unlinked objects), response
-    // accounting, and cost-model drift observation run once per batch on
-    // the last stage; the per-query work finished in the kernels above.
+    // retirement (epoch hand-off of unlinked objects) and response
+    // accounting run once per batch on the last stage; the per-query work
+    // finished in the kernels above.
     RetireAndCount(batch.get(), /*degraded_inline=*/false);
     // dido-analyze: allow(hot): the free-list hand-off, one short mutex
     // section per batch (see the Pop note above).

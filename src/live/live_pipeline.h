@@ -19,15 +19,11 @@
 
 namespace dido {
 
-class CostModel;
-
 namespace obs {
 class AtomicHistogram;
-class CostDriftTracker;
 class Counter;
 class Gauge;
 class MetricsRegistry;
-class OnlineCalibrator;
 class TraceCollector;
 }  // namespace obs
 
@@ -132,20 +128,6 @@ class LivePipeline {
     // Records one span per stage execution, per KV task and per queue wait
     // (Chrome trace_event lanes: tid = stage index, watchdog = num_stages).
     obs::TraceCollector* trace = nullptr;
-    // With both `metrics` and `cost_model` set, every retired batch is
-    // compared against the model's per-stage prediction and exported as
-    // dido_live_costmodel_* drift gauges.  Normalized comparison: the model
-    // predicts simulated-APU microseconds while the live pipeline observes
-    // host wall time, so the tracker scale-fits before differencing (the
-    // residual error is the stage-time *shape* the planner ranks cuts by).
-    const CostModel* cost_model = nullptr;
-    // Closes the loop on the live path (DESIGN.md §12): the drift tracker
-    // forwards each retired batch's device-labeled residuals — normalized,
-    // so the calibrator fits the *relative* CPU-vs-GPU drift — and the
-    // batch boundary to this calibrator.  The owner wires on_commit (e.g.
-    // to re-plan or update its own CostModel) and must keep the calibrator
-    // alive past Stop().  Requires `metrics` and `cost_model`.
-    obs::OnlineCalibrator* calibrator = nullptr;
   };
 
   struct Stats {
@@ -234,13 +216,9 @@ class LivePipeline {
   };
 
   // Resolves metric handles (stage histograms, degradation counters,
-  // gauges) from options_.metrics and builds the drift tracker.  Handles
-  // stay null when no registry is configured; every recording site guards.
+  // gauges) from options_.metrics.  Handles stay null when no registry is
+  // configured; every recording site guards.
   void SetupObservability();
-  // Compares the batch's observed per-stage wall times against the cost
-  // model's prediction for the batch's own configuration and profile.
-  // Called outside stats_mu_ (prediction is comparatively expensive).
-  void ObserveDrift(const QueryBatch& batch);
 
   // Request-path loops: every error-guarded early exit must shed with a
   // counter or produce response frames (checked by the analyzer's resp
@@ -257,8 +235,8 @@ class LivePipeline {
   // trace lane and health block `lane`; with `degraded`, runs the whole
   // degraded chain instead (lane 0, ingress thread).  Bumps the heartbeat
   // and emits a task span per task, then records the execute time since
-  // `start` into batch->obs and the stage metrics and emits the stage span
-  // from `trace_start`.  Stage 0 on the ingress thread, every stage thread
+  // `start` into the stage metrics and emits the stage span from
+  // `trace_start`.  Stage 0 on the ingress thread, every stage thread
   // and the ingress inline branch all execute a batch through it.
   void ExecuteStage(size_t lane, bool degraded, QueryBatch* batch,
                     std::chrono::steady_clock::time_point start,
@@ -344,7 +322,6 @@ class LivePipeline {
   obs::Counter* failovers_counter_ = nullptr;
   obs::Counter* repromotions_counter_ = nullptr;
   obs::Gauge* degraded_gauge_ = nullptr;
-  std::unique_ptr<obs::CostDriftTracker> drift_;
   // dido-analyze: end-allow(lock)
 };
 

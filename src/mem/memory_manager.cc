@@ -26,19 +26,21 @@ Result<KvObject*> MemoryManager::AllocateObject(
     // Drain-first: quarantined chunks (earlier evictions, replaced SET
     // versions) are logically free — returning them is strictly better
     // than sacrificing a live object.  A full drain can take one advance
-    // per generation, so try that many rounds before giving up; rounds cut
-    // short by a pinned reader just come back 0 and fall through.
+    // per generation, so try that many rounds before giving up.  A round
+    // that reclaimed nothing (empty generation, or cut short by a pinned
+    // reader) freed no chunk, so it skips the retry.
     for (uint64_t round = 0; round < EpochManager::kGenerations; ++round) {
-      epoch_.TryReclaim();
+      if (epoch_.TryReclaim() == 0) continue;
       result = allocator_.Allocate(key, value, version, &victim,
                                    SlabAllocator::EvictionMode::kFail);
       if (result.ok()) break;
     }
     if (!result.ok() &&
         result.status().code() == StatusCode::kOutOfMemory) {
-      // Nothing reclaimable: detach the CLOCK victim for the caller to
-      // unlink and retire; this allocation stays unsatisfied until the
-      // quarantine drains.
+      // Nothing reclaimed for this class: kDetach still takes a chunk
+      // another thread freed meanwhile, else detaches the CLOCK victim for
+      // the caller to unlink and retire; this allocation then stays
+      // unsatisfied until the quarantine drains.
       result = allocator_.Allocate(key, value, version, &victim,
                                    SlabAllocator::EvictionMode::kDetach);
     }

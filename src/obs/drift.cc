@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "common/logging.h"
 #include "obs/recalibrate.h"
@@ -25,23 +26,23 @@ CostDriftTracker::CostDriftTracker(MetricsRegistry* registry,
     : options_(options), registry_(registry) {
   DIDO_CHECK(registry != nullptr);
   batches_counter_ = registry->GetCounter(
-      options_.prefix + "_batches_total",
+      "dido_sim_costmodel_batches_total",
       "batches with prediction-vs-observation drift samples");
   skipped_samples_counter_ = registry->GetCounter(
-      options_.prefix + "_skipped_samples_total",
+      "dido_sim_costmodel_skipped_samples_total",
       "drift samples dropped: empty/mismatched stage vectors, all-zero "
       "sums, or non-positive stage observations");
   tmax_error_gauge_ = registry->GetGauge(
-      options_.prefix + "_tmax_abs_rel_error",
+      "dido_sim_costmodel_tmax_abs_rel_error",
       "rolling |T_max predicted - observed| / observed (paper Fig. 9)");
   stage_error_gauge_ = registry->GetGauge(
-      options_.prefix + "_stage_abs_rel_error",
+      "dido_sim_costmodel_stage_abs_rel_error",
       "rolling mean per-stage |predicted - observed| / observed");
   last_predicted_tmax_ = registry->GetGauge(
-      options_.prefix + "_last_predicted_tmax_us",
+      "dido_sim_costmodel_last_predicted_tmax_us",
       "cost-model predicted T_max of the most recent batch (us)");
   last_observed_tmax_ = registry->GetGauge(
-      options_.prefix + "_last_observed_tmax_us",
+      "dido_sim_costmodel_last_observed_tmax_us",
       "observed T_max of the most recent batch (us)");
 }
 
@@ -60,7 +61,7 @@ AtomicHistogram* CostDriftTracker::ResidualHistogram(size_t stage,
   // Registry find-or-create is idempotent, so a racing resolution of the
   // same lane lands on the same histogram.
   AtomicHistogram* hist = registry_->GetHistogram(
-      MetricName(options_.prefix + "_stage_abs_rel_error_pct",
+      MetricName("dido_sim_costmodel_stage_abs_rel_error_pct",
                  {{"stage", std::to_string(stage)},
                   {"device", DeviceName(device)}}),
       "per-stage |predicted - observed| / observed, percent");
@@ -71,18 +72,11 @@ AtomicHistogram* CostDriftTracker::ResidualHistogram(size_t stage,
 
 void CostDriftTracker::ObserveBatch(
     const std::vector<double>& predicted_stage_us,
-    const std::vector<double>& observed_stage_us) {
-  ObserveBatch(predicted_stage_us, observed_stage_us, {});
-}
-
-void CostDriftTracker::ObserveBatch(
-    const std::vector<double>& predicted_stage_us,
     const std::vector<double>& observed_stage_us,
     const std::vector<Device>& stage_devices) {
-  const bool labeled = !stage_devices.empty();
   if (predicted_stage_us.empty() ||
       predicted_stage_us.size() != observed_stage_us.size() ||
-      (labeled && stage_devices.size() != predicted_stage_us.size())) {
+      stage_devices.size() != predicted_stage_us.size()) {
     skipped_samples_counter_->Add(1);
     return;
   }
@@ -95,17 +89,12 @@ void CostDriftTracker::ObserveBatch(
     return;
   }
 
-  // Scale-free mode (live pipeline): fit the single scalar that maps the
-  // simulated-APU prediction onto the host timeline, then measure the
-  // residual shape error.
-  const double scale = options_.normalize ? observed_sum / predicted_sum : 1.0;
-
   double predicted_tmax = 0.0;
   double observed_tmax = 0.0;
   double stage_error_sum = 0.0;
   size_t stages_counted = 0;
   for (size_t i = 0; i < predicted_stage_us.size(); ++i) {
-    const double predicted = predicted_stage_us[i] * scale;
+    const double predicted = predicted_stage_us[i];
     const double observed = observed_stage_us[i];
     predicted_tmax = std::max(predicted_tmax, predicted);
     observed_tmax = std::max(observed_tmax, observed);
@@ -113,12 +102,10 @@ void CostDriftTracker::ObserveBatch(
       const double rel = std::fabs(predicted - observed) / observed;
       stage_error_sum += rel;
       stages_counted += 1;
-      if (labeled) {
-        ResidualHistogram(i, stage_devices[i])->Record(rel * 100.0);
-        if (options_.calibrator != nullptr) {
-          options_.calibrator->ObserveStage(stage_devices[i], predicted,
-                                            observed);
-        }
+      ResidualHistogram(i, stage_devices[i])->Record(rel * 100.0);
+      if (options_.calibrator != nullptr) {
+        options_.calibrator->ObserveStage(stage_devices[i], predicted,
+                                          observed);
       }
     } else {
       skipped_samples_counter_->Add(1);
@@ -141,18 +128,16 @@ void CostDriftTracker::ObserveBatch(
     MutexLock lock(mu_);
     PushWindowed(&tmax_errors_, tmax_error);
     PushWindowed(&stage_errors_, stage_error);
-    if (labeled) {
-      for (size_t i = 0; i < predicted_stage_us.size(); ++i) {
-        StageResidual residual;
-        residual.stage = i;
-        residual.device = stage_devices[i];
-        residual.predicted_us = predicted_stage_us[i] * scale;
-        residual.observed_us = observed_stage_us[i];
-        residuals_.push_back(residual);
-      }
-      while (residuals_.size() > options_.residual_capacity) {
-        residuals_.pop_front();
-      }
+    for (size_t i = 0; i < predicted_stage_us.size(); ++i) {
+      StageResidual residual;
+      residual.stage = i;
+      residual.device = stage_devices[i];
+      residual.predicted_us = predicted_stage_us[i];
+      residual.observed_us = observed_stage_us[i];
+      residuals_.push_back(residual);
+    }
+    while (residuals_.size() > options_.residual_capacity) {
+      residuals_.pop_front();
     }
     observed_batches_ += 1;
     rolling_tmax = Mean(tmax_errors_);
@@ -167,7 +152,7 @@ void CostDriftTracker::ObserveBatch(
 
   // Batch boundary for the closed loop: the calibrator counts dwell and
   // attempts its fit here, after all of this batch's samples landed.
-  if (labeled && options_.calibrator != nullptr) {
+  if (options_.calibrator != nullptr) {
     options_.calibrator->EndBatch();
   }
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,7 +19,7 @@ class OnlineCalibrator;
 
 // One retained prediction-vs-observation residual: stage `stage` of a batch
 // ran on `device`, the cost model said `predicted_us`, the executor measured
-// `observed_us` (both after the tracker's normalize fit, when enabled).
+// `observed_us`.
 struct StageResidual {
   size_t stage = 0;
   Device device = Device::kCpu;
@@ -30,13 +29,14 @@ struct StageResidual {
 
 // Cost-model drift telemetry: the paper's Fig. 9 metric (prediction error of
 // the APU-aware cost model) computed continuously, per executed batch, and
-// exported as rolling gauges — so every re-planning decision the adaption
-// controller takes is auditable against how well the model was actually
-// predicting at that moment.
+// exported as rolling gauges under the dido_sim_costmodel_* prefix — so
+// every re-planning decision the adaption controller takes is auditable
+// against how well the model was actually predicting at that moment.
 //
 // For each batch the caller supplies the cost model's predicted per-stage
-// times next to the observed per-stage times.  Two error figures are
-// maintained over a rolling window:
+// times, the observed per-stage times (both simulated-APU microseconds) and
+// the device each stage ran on.  Two error figures are maintained over a
+// rolling window:
 //
 //  * t_max error  — |T_max_pred - T_max_obs| / T_max_obs, the paper's
 //                   headline prediction-error metric (throughput is
@@ -44,40 +44,28 @@ struct StageResidual {
 //  * stage error  — mean over stages of |pred_i - obs_i| / obs_i, which
 //                   localizes *where* the model drifts.
 //
-// When the caller also labels each stage with the device it ran on, the
-// tracker additionally
+// The tracker also
 //  * retains the raw per-stage residual samples (bounded ring, exported via
 //    ResidualsSnapshot()) instead of only the two rolling means,
 //  * records each stage's absolute relative error into a per-(stage, device)
-//    histogram "<prefix>_stage_abs_rel_error_pct{stage=..,device=..}"
-//    (percent, so the log-spaced buckets resolve the 0.5%..100% range), and
+//    histogram "dido_sim_costmodel_stage_abs_rel_error_pct{stage=..,
+//    device=..}" (percent, so the log-spaced buckets resolve the 0.5%..100%
+//    range), and
 //  * feeds the samples — and the batch boundary — to an attached
 //    OnlineCalibrator, closing the observability loop (DESIGN.md §12).
 //
 // Every sample the tracker drops (empty/mismatched vectors, all-zero sums,
 // non-positive stage observations) increments
-// "<prefix>_skipped_samples_total" instead of vanishing silently.
-//
-// Units: the simulator path compares microseconds to microseconds.  The
-// live (wall-clock) path compares simulated-APU predictions to host wall
-// times, so it sets `normalize`: both vectors are first scaled by a
-// least-squares scalar fit (predicted *= sum_obs / sum_pred), making the
-// comparison about the *shape* of the stage-time distribution — exactly the
-// signal that decides which pipeline cut wins — rather than about the
-// hardware calibration constant.  The calibrator sees the normalized
-// predictions too: in that mode it fits the *relative* CPU-vs-GPU drift,
-// which is what re-ranks pipeline cuts.
+// "dido_sim_costmodel_skipped_samples_total" instead of vanishing silently.
 class CostDriftTracker {
  public:
   struct Options {
-    size_t window = 64;        // batches in the rolling mean
-    bool normalize = false;    // scale-free comparison (live pipeline)
-    std::string prefix = "dido_costmodel";  // metric name prefix
+    size_t window = 64;  // batches in the rolling mean
     // Raw residual samples retained for export (ring buffer).
     size_t residual_capacity = 512;
-    // When set, every device-labeled stage sample is forwarded with
-    // ObserveStage() and every observed batch ends with EndBatch() — the
-    // tracker is the calibrator's only feed.  Must outlive the tracker.
+    // When set, every stage sample is forwarded with ObserveStage() and
+    // every observed batch ends with EndBatch() — the tracker is the
+    // calibrator's only feed.  Must outlive the tracker.
     OnlineCalibrator* calibrator = nullptr;
   };
 
@@ -85,28 +73,22 @@ class CostDriftTracker {
   CostDriftTracker(const CostDriftTracker&) = delete;
   CostDriftTracker& operator=(const CostDriftTracker&) = delete;
 
-  // Records one executed batch.  Vectors must be the same length (stages of
-  // the batch's configuration); empty or all-zero observations are skipped
-  // (counted in "<prefix>_skipped_samples_total").
-  void ObserveBatch(const std::vector<double>& predicted_stage_us,
-                    const std::vector<double>& observed_stage_us);
-
-  // Device-labeled variant: `stage_devices` names the device each stage ran
-  // on (same length as the time vectors) and unlocks residual retention,
-  // per-(stage, device) histograms, and calibrator forwarding.
+  // Records one executed batch.  The three vectors must be the same length
+  // (stages of the batch's configuration); `stage_devices` names the device
+  // each stage ran on.  Empty, mismatched or all-zero batches are skipped
+  // (counted in "dido_sim_costmodel_skipped_samples_total").
   void ObserveBatch(const std::vector<double>& predicted_stage_us,
                     const std::vector<double>& observed_stage_us,
                     const std::vector<Device>& stage_devices);
 
   // Rolling means over the window (also exported as gauges
-  // "<prefix>_tmax_abs_rel_error" / "<prefix>_stage_abs_rel_error").
+  // "dido_sim_costmodel_tmax_abs_rel_error" / "..._stage_abs_rel_error").
   double RollingTmaxError() const;
   double RollingStageError() const;
   uint64_t batches() const;
 
   // Copy of the retained raw residuals, oldest first (at most
-  // Options::residual_capacity entries; empty until a device-labeled batch
-  // is observed).
+  // Options::residual_capacity entries).
   std::vector<StageResidual> ResidualsSnapshot() const;
 
   // Total samples/batches dropped instead of observed.

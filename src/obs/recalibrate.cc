@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -44,32 +45,32 @@ void OnlineCalibrator::AttachObservability(MetricsRegistry* metrics,
   if (trace_ != nullptr) trace_->SetThreadName(kCalibrationTraceLane, "calibrator");
   if (metrics == nullptr) return;
   commits_counter_ = metrics->GetCounter(
-      options_.prefix + "_commits_total",
+      "dido_recal_commits_total",
       "Committed calibration generations (re-fits applied)");
   held_fits_counter_ = metrics->GetCounter(
-      options_.prefix + "_held_fits_total",
+      "dido_recal_held_fits_total",
       "Fit attempts held back by the hysteresis band (no-flap)");
   clamped_steps_counter_ = metrics->GetCounter(
-      options_.prefix + "_clamped_steps_total",
+      "dido_recal_clamped_steps_total",
       "Commits whose scale step hit the per-commit clamp or bounds");
   skipped_samples_counter_ = metrics->GetCounter(
-      options_.prefix + "_skipped_samples_total",
+      "dido_recal_skipped_samples_total",
       "Residual samples dropped (non-positive or inside the quiet dwell)");
   generation_gauge_ = metrics->GetGauge(
-      options_.prefix + "_generation",
+      "dido_recal_generation",
       "Calibration generation currently applied to the cost model");
   cpu_scale_gauge_ = metrics->GetGauge(
-      MetricName(options_.prefix + "_scale", {{"device", "CPU"}}),
+      MetricName("dido_recal_scale", {{"device", "CPU"}}),
       "Fitted per-device time-scale overlay (1.0 = spec calibration)");
   gpu_scale_gauge_ = metrics->GetGauge(
-      MetricName(options_.prefix + "_scale", {{"device", "GPU"}}),
+      MetricName("dido_recal_scale", {{"device", "GPU"}}),
       "Fitted per-device time-scale overlay (1.0 = spec calibration)");
   prefit_error_gauge_ = metrics->GetGauge(
-      options_.prefix + "_prefit_abs_rel_error",
+      "dido_recal_prefit_abs_rel_error",
       "Mean |observed - predicted| / predicted over the fit window, under "
       "the overlay the predictions were made with");
   postfit_error_gauge_ = metrics->GetGauge(
-      options_.prefix + "_postfit_abs_rel_error",
+      "dido_recal_postfit_abs_rel_error",
       "Same residual re-evaluated under the freshly fitted ratios");
   MutexLock lock(mu_);
   PublishOverlay();

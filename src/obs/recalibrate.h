@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <string>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -53,7 +52,6 @@ class TraceCollector;
 class OnlineCalibrator {
  public:
   struct Options {
-    std::string prefix = "dido_recal";  // metric name prefix
     // Residual samples per device per fit attempt; fits are attempted at
     // batch granularity once a device's window is full.
     size_t window = 48;
@@ -77,8 +75,8 @@ class OnlineCalibrator {
   OnlineCalibrator(const OnlineCalibrator&) = delete;
   OnlineCalibrator& operator=(const OnlineCalibrator&) = delete;
 
-  // Resolves metric handles / the trace sink.  Call once during setup
-  // (before samples flow); either argument may be null.
+  // Resolves the dido_recal_* metric handles and the trace sink.  Call once
+  // during setup (before samples flow); either argument may be null.
   void AttachObservability(MetricsRegistry* metrics, TraceCollector* trace);
 
   // One residual sample: the cost model predicted `predicted_us` for a stage

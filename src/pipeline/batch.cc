@@ -35,7 +35,7 @@ void QueryBatch::Clear() {
   frequencies.clear();
   measurements = BatchMeasurements();
   measurements.sampled_frequencies = std::move(frequencies);
-  obs = BatchObs();
+  enqueued_at = {};
 }
 
 }  // namespace dido

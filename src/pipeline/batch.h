@@ -98,25 +98,6 @@ struct BatchMeasurements {
   }
 };
 
-// Wall-clock observability sidecar of one batch in the live pipeline: the
-// hand-off timestamp feeding queue-wait histograms, and per-stage execute
-// times feeding the stage latency histograms and the cost-model drift
-// telemetry.  Each slot is written by the single stage thread that owns the
-// batch at that moment, so the struct needs no synchronization of its own.
-struct BatchObs {
-  static constexpr size_t kMaxStages = 4;
-
-  // Set by the producer immediately before pushing the batch into an
-  // inter-stage queue; the consumer's (pop time - enqueued_at) is the
-  // queue-wait component of the stage's latency.
-  std::chrono::steady_clock::time_point enqueued_at{};
-  // Wall microseconds each stage spent executing this batch's tasks
-  // (stage 0 = ingress RV+PP plus its KV tasks), exclusive of queue waits.
-  std::array<double, kMaxStages> stage_execute_us{};
-  std::array<double, kMaxStages> stage_queue_wait_us{};
-  size_t num_stages = 0;
-};
-
 // One batch of queries moving through the pipeline.  The active pipeline
 // configuration is embedded in the batch (paper Section III-B1: "we embed
 // the pipeline information into each batch"), so a configuration change
@@ -151,7 +132,11 @@ struct QueryBatch {
   uint64_t max_lsn = 0;
 
   BatchMeasurements measurements;
-  BatchObs obs;
+  // Live pipeline only: set by the producer immediately before pushing the
+  // batch into an inter-stage queue; the consumer's (pop time - enqueued_at)
+  // is the queue wait of its stage.  Written by the single thread that owns
+  // the batch at that moment.
+  std::chrono::steady_clock::time_point enqueued_at{};
 
   size_t size() const { return queries.size(); }
 

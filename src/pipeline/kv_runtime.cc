@@ -323,8 +323,7 @@ void KvRuntime::RunIndexDelete(QueryBatch* batch, size_t begin, size_t end) {
     QueryRecord& record = batch->queries[i];
     if (record.op == QueryOp::kDelete) {
       KvObject* removed = nullptr;
-      if (index_->Delete(record.hash, record.key, &removed, nullptr, &m.index)
-              .ok()) {
+      if (index_->Delete(record.hash, record.key, &removed, &m.index).ok()) {
         memory_->RetireObject(removed);
         record.status = ResponseStatus::kDeleted;
         m.deletes += 1;
@@ -549,8 +548,8 @@ Status KvRuntime::DeleteKey(std::string_view key) {
     EpochGuard guard(epoch_);
     KvObject* removed = nullptr;
     CuckooHashTable::Counters tally;  // a batch of one
-    const Status status = index_->Delete(CuckooHashTable::HashKey(key), key,
-                                         &removed, nullptr, &tally);
+    const Status status =
+        index_->Delete(CuckooHashTable::HashKey(key), key, &removed, &tally);
     index_->Accumulate(tally);
     DIDO_RETURN_IF_ERROR(status);
     memory_->RetireObject(removed);

@@ -20,8 +20,10 @@ bool StealEligible(TaskKind task, Device thief) {
   return thief == Device::kGpu ? IsGpuKernelTask(task) : IsRangeTask(task);
 }
 
-}  // namespace
-
+// Builds the measured workload profile of an executed batch from the batch's
+// own counters and the runtime's live-object count.  The distribution fields
+// (zipf, zipf_skew) are left at their defaults; RunBatch fills them from its
+// generator's spec.
 WorkloadProfileData ProfileFromBatch(const QueryBatch& batch,
                                      const KvRuntime& runtime) {
   const BatchMeasurements& m = batch.measurements;
@@ -47,6 +49,8 @@ WorkloadProfileData ProfileFromBatch(const QueryBatch& batch,
   if (m.delete_probes > 0) profile.delete_probes = m.delete_probes;
   return profile;
 }
+
+}  // namespace
 
 PipelineExecutor::PipelineExecutor(KvRuntime* runtime, const ApuSpec& spec,
                                    const ExecutorOptions& options)

@@ -176,14 +176,6 @@ class PipelineExecutor {
   double virtual_now_us_ = 0.0;  // virtual trace timeline head
 };
 
-// Builds the measured workload profile of an executed batch from the batch's
-// own counters and the runtime's live-object count alone — usable wherever no
-// WorkloadGenerator exists (e.g. the live pipeline observing wire traffic).
-// The distribution fields (zipf, zipf_skew) are left at their defaults; the
-// simulator fills them from its generator's spec.
-WorkloadProfileData ProfileFromBatch(const QueryBatch& batch,
-                                     const KvRuntime& runtime);
-
 }  // namespace dido
 
 #endif  // DIDO_PIPELINE_PIPELINE_EXECUTOR_H_

@@ -132,10 +132,8 @@ TEST(CuckooHashTableStressTest, ConcurrentSearchInsertDelete) {
       }
       for (Entry& entry : churn) {
         KvObject* removed = nullptr;
-        ASSERT_TRUE(table
-                        .Delete(entry.hash, entry.key, &removed, nullptr,
-                                &tallies[0])
-                        .ok());
+        ASSERT_TRUE(
+            table.Delete(entry.hash, entry.key, &removed, &tallies[0]).ok());
         ASSERT_EQ(removed, entry.object);
       }
       churn_rounds.fetch_add(1);

@@ -89,21 +89,6 @@ TEST(CuckooTest, DeleteRemovesEntry) {
             StatusCode::kNotFound);
 }
 
-TEST(CuckooTest, DeleteWithExcludeSkipsNewVersion) {
-  ObjectPool pool;
-  CuckooHashTable table(SmallTable());
-  KvObject* fresh = pool.Make("key", "new");
-  const uint64_t hash = CuckooHashTable::HashKey("key");
-  // Only the fresh object is in the index (no old version).
-  ASSERT_TRUE(table.Insert(hash, fresh, nullptr).ok());
-  KvObject* removed = nullptr;
-  // Deleting the "old version" while excluding the fresh pointer must not
-  // remove the fresh entry.
-  EXPECT_EQ(table.Delete(hash, "key", &removed, fresh).code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(table.SearchVerified(hash, "key"), fresh);
-}
-
 TEST(CuckooTest, RemoveByIdentity) {
   ObjectPool pool;
   CuckooHashTable table(SmallTable());

@@ -319,10 +319,9 @@ TEST(ObsTraceTest, NowMicrosAdvancesMonotonically) {
 
 TEST(ObsDriftTest, PerfectPredictionIsZeroError) {
   MetricsRegistry registry;
-  CostDriftTracker::Options options;
-  options.prefix = "dido_t1";
-  CostDriftTracker tracker(&registry, options);
-  tracker.ObserveBatch({100.0, 200.0, 50.0}, {100.0, 200.0, 50.0});
+  CostDriftTracker tracker(&registry, CostDriftTracker::Options());
+  tracker.ObserveBatch({100.0, 200.0, 50.0}, {100.0, 200.0, 50.0},
+                       {Device::kCpu, Device::kGpu, Device::kCpu});
   EXPECT_EQ(tracker.batches(), 1u);
   EXPECT_DOUBLE_EQ(tracker.RollingTmaxError(), 0.0);
   EXPECT_DOUBLE_EQ(tracker.RollingStageError(), 0.0);
@@ -330,74 +329,62 @@ TEST(ObsDriftTest, PerfectPredictionIsZeroError) {
 
 TEST(ObsDriftTest, KnownErrorMath) {
   MetricsRegistry registry;
-  CostDriftTracker::Options options;
-  options.prefix = "dido_t2";
-  CostDriftTracker tracker(&registry, options);
+  CostDriftTracker tracker(&registry, CostDriftTracker::Options());
   // Predicted {100, 200} vs observed {100, 100}: T_max error is
   // |200-100|/100 = 1.0; stage errors are 0 and 1, mean 0.5.
-  tracker.ObserveBatch({100.0, 200.0}, {100.0, 100.0});
+  tracker.ObserveBatch({100.0, 200.0}, {100.0, 100.0},
+                       {Device::kCpu, Device::kGpu});
   EXPECT_DOUBLE_EQ(tracker.RollingTmaxError(), 1.0);
   EXPECT_DOUBLE_EQ(tracker.RollingStageError(), 0.5);
   // Gauges export the same rolling values plus the last raw T_max pair.
   EXPECT_DOUBLE_EQ(
-      registry.GetGauge("dido_t2_tmax_abs_rel_error")->Value(), 1.0);
+      registry.GetGauge("dido_sim_costmodel_tmax_abs_rel_error")->Value(),
+      1.0);
   EXPECT_DOUBLE_EQ(
-      registry.GetGauge("dido_t2_stage_abs_rel_error")->Value(), 0.5);
+      registry.GetGauge("dido_sim_costmodel_stage_abs_rel_error")->Value(),
+      0.5);
   EXPECT_DOUBLE_EQ(
-      registry.GetGauge("dido_t2_last_predicted_tmax_us")->Value(), 200.0);
+      registry.GetGauge("dido_sim_costmodel_last_predicted_tmax_us")->Value(),
+      200.0);
   EXPECT_DOUBLE_EQ(
-      registry.GetGauge("dido_t2_last_observed_tmax_us")->Value(), 100.0);
-  EXPECT_EQ(registry.GetCounter("dido_t2_batches_total")->Value(), 1u);
-}
-
-TEST(ObsDriftTest, NormalizeModeIsScaleInvariant) {
-  MetricsRegistry registry;
-  CostDriftTracker::Options options;
-  options.normalize = true;
-  options.prefix = "dido_t3";
-  CostDriftTracker tracker(&registry, options);
-  // The prediction is a uniform 1000x off (simulated us vs wall us): after
-  // the least-squares scalar fit the residual shape error is exactly zero.
-  tracker.ObserveBatch({100'000.0, 200'000.0, 50'000.0},
-                       {100.0, 200.0, 50.0});
-  EXPECT_DOUBLE_EQ(tracker.RollingTmaxError(), 0.0);
-  EXPECT_DOUBLE_EQ(tracker.RollingStageError(), 0.0);
-  // A genuine shape mismatch survives normalization.
-  tracker.ObserveBatch({100'000.0, 100'000.0}, {50.0, 150.0});
-  EXPECT_GT(tracker.RollingStageError(), 0.0);
+      registry.GetGauge("dido_sim_costmodel_last_observed_tmax_us")->Value(),
+      100.0);
+  EXPECT_EQ(registry.GetCounter("dido_sim_costmodel_batches_total")->Value(),
+            1u);
 }
 
 TEST(ObsDriftTest, SkipsDegenerateBatches) {
   MetricsRegistry registry;
-  CostDriftTracker::Options options;
-  options.prefix = "dido_t4";
-  CostDriftTracker tracker(&registry, options);
-  tracker.ObserveBatch({}, {});                    // empty
-  tracker.ObserveBatch({1.0, 2.0}, {1.0});         // length mismatch
-  tracker.ObserveBatch({1.0, 2.0}, {0.0, 0.0});    // all-zero observation
-  tracker.ObserveBatch({0.0, 0.0}, {1.0, 2.0});    // all-zero prediction
+  CostDriftTracker tracker(&registry, CostDriftTracker::Options());
+  const std::vector<Device> two = {Device::kCpu, Device::kGpu};
+  tracker.ObserveBatch({}, {}, {});                    // empty
+  tracker.ObserveBatch({1.0, 2.0}, {1.0}, two);        // length mismatch
+  tracker.ObserveBatch({1.0, 2.0}, {1.0, 2.0},
+                       {Device::kCpu});                // devices mismatch
+  tracker.ObserveBatch({1.0, 2.0}, {0.0, 0.0}, two);   // all-zero observation
+  tracker.ObserveBatch({0.0, 0.0}, {1.0, 2.0}, two);   // all-zero prediction
   EXPECT_EQ(tracker.batches(), 0u);
-  EXPECT_EQ(registry.GetCounter("dido_t4_batches_total")->Value(), 0u);
+  EXPECT_EQ(tracker.skipped_samples(), 5u);
+  EXPECT_EQ(registry.GetCounter("dido_sim_costmodel_batches_total")->Value(),
+            0u);
 }
 
 TEST(ObsDriftTest, RollingWindowForgetsOldBatches) {
   MetricsRegistry registry;
   CostDriftTracker::Options options;
   options.window = 2;
-  options.prefix = "dido_t5";
   CostDriftTracker tracker(&registry, options);
-  tracker.ObserveBatch({200.0}, {100.0});  // error 1.0 — will be evicted
-  tracker.ObserveBatch({100.0}, {100.0});  // error 0.0
-  tracker.ObserveBatch({150.0}, {100.0});  // error 0.5
+  const std::vector<Device> cpu = {Device::kCpu};
+  tracker.ObserveBatch({200.0}, {100.0}, cpu);  // error 1.0 — will be evicted
+  tracker.ObserveBatch({100.0}, {100.0}, cpu);  // error 0.0
+  tracker.ObserveBatch({150.0}, {100.0}, cpu);  // error 0.5
   EXPECT_EQ(tracker.batches(), 3u);
   EXPECT_DOUBLE_EQ(tracker.RollingTmaxError(), 0.25);  // mean of {0, 0.5}
 }
 
 TEST(ObsDriftTest, ConcurrentObserversStayConsistent) {
   MetricsRegistry registry;
-  CostDriftTracker::Options options;
-  options.prefix = "dido_t6";
-  CostDriftTracker tracker(&registry, options);
+  CostDriftTracker tracker(&registry, CostDriftTracker::Options());
   constexpr int kThreads = 4;
   constexpr int kBatchesPerThread = 2000;
   std::vector<std::thread> threads;
@@ -405,7 +392,8 @@ TEST(ObsDriftTest, ConcurrentObserversStayConsistent) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&tracker] {
       for (int i = 0; i < kBatchesPerThread; ++i) {
-        tracker.ObserveBatch({120.0, 80.0}, {100.0, 80.0});
+        tracker.ObserveBatch({120.0, 80.0}, {100.0, 80.0},
+                             {Device::kCpu, Device::kGpu});
       }
     });
   }
@@ -417,22 +405,20 @@ TEST(ObsDriftTest, ConcurrentObserversStayConsistent) {
 
 TEST(ObsDriftTest, SkippedSamplesAreCountedNotSilent) {
   MetricsRegistry registry;
-  CostDriftTracker::Options options;
-  options.prefix = "dido_t7";
-  CostDriftTracker tracker(&registry, options);
-  tracker.ObserveBatch({}, {});                  // empty
-  tracker.ObserveBatch({100.0}, {100.0, 50.0});  // length mismatch
-  tracker.ObserveBatch({100.0, 50.0}, {0.0, 0.0});  // all-zero observations
+  CostDriftTracker tracker(&registry, CostDriftTracker::Options());
+  const std::vector<Device> two = {Device::kCpu, Device::kGpu};
+  tracker.ObserveBatch({}, {}, {});                      // empty
+  tracker.ObserveBatch({100.0}, {100.0, 50.0}, two);     // length mismatch
+  tracker.ObserveBatch({100.0, 50.0}, {0.0, 0.0}, two);  // all-zero obs
   EXPECT_EQ(tracker.batches(), 0u);
   EXPECT_EQ(tracker.skipped_samples(), 3u);
   EXPECT_TRUE(Contains(registry.RenderPrometheus(),
-                       "dido_t7_skipped_samples_total 3"));
+                       "dido_sim_costmodel_skipped_samples_total 3"));
 }
 
 TEST(ObsDriftTest, RetainsDeviceLabeledResidualsAndHistograms) {
   MetricsRegistry registry;
   CostDriftTracker::Options options;
-  options.prefix = "dido_t8";
   options.residual_capacity = 3;
   CostDriftTracker tracker(&registry, options);
   tracker.ObserveBatch({100.0, 200.0}, {110.0, 150.0},
@@ -446,15 +432,12 @@ TEST(ObsDriftTest, RetainsDeviceLabeledResidualsAndHistograms) {
   EXPECT_DOUBLE_EQ(residuals.back().predicted_us, 200.0);
   EXPECT_DOUBLE_EQ(residuals.back().observed_us, 160.0);
   const std::string text = registry.RenderPrometheus();
-  EXPECT_TRUE(Contains(
-      text,
-      "dido_t8_stage_abs_rel_error_pct_count{stage=\"0\",device=\"CPU\"} 2"));
-  EXPECT_TRUE(Contains(
-      text,
-      "dido_t8_stage_abs_rel_error_pct_count{stage=\"1\",device=\"GPU\"} 2"));
-  // Unlabeled batches keep working and retain nothing.
-  tracker.ObserveBatch({100.0}, {100.0});
-  EXPECT_EQ(tracker.ResidualsSnapshot().size(), 3u);
+  EXPECT_TRUE(Contains(text,
+                       "dido_sim_costmodel_stage_abs_rel_error_pct_count{"
+                       "stage=\"0\",device=\"CPU\"} 2"));
+  EXPECT_TRUE(Contains(text,
+                       "dido_sim_costmodel_stage_abs_rel_error_pct_count{"
+                       "stage=\"1\",device=\"GPU\"} 2"));
 }
 
 // --------------------------------------------------------- recalibrate --
@@ -512,7 +495,6 @@ TEST(ObsRecalibrateTest, ConvergedLoopStopsCommitting) {
 TEST(ObsRecalibrateTest, HysteresisHoldsUnderExecutorNoise) {
   MetricsRegistry registry;
   OnlineCalibrator::Options options;
-  options.prefix = "dido_recal_t1";
   OnlineCalibrator calibrator(options);
   calibrator.AttachObservability(&registry, nullptr);
   // No real drift — only the executor's +-8% per-batch jitter
@@ -524,14 +506,13 @@ TEST(ObsRecalibrateTest, HysteresisHoldsUnderExecutorNoise) {
   EXPECT_FALSE(calibrator.TakeReplanRequest());
   // The fits ran and were held, observable in the exposition.
   const std::string text = registry.RenderPrometheus();
-  EXPECT_TRUE(Contains(text, "dido_recal_t1_held_fits_total"));
-  EXPECT_TRUE(Contains(text, "dido_recal_t1_commits_total 0"));
+  EXPECT_TRUE(Contains(text, "dido_recal_held_fits_total"));
+  EXPECT_TRUE(Contains(text, "dido_recal_commits_total 0"));
 }
 
 TEST(ObsRecalibrateTest, StepClampAndBoundsLimitEachCommit) {
   MetricsRegistry registry;
   OnlineCalibrator::Options options;
-  options.prefix = "dido_recal_t2";
   options.max_scale = 2.0;
   OnlineCalibrator calibrator(options);
   calibrator.AttachObservability(&registry, nullptr);
@@ -546,14 +527,13 @@ TEST(ObsRecalibrateTest, StepClampAndBoundsLimitEachCommit) {
   DriveSyntheticDrift(&calibrator, 1500, 1.0, 3.0);
   EXPECT_DOUBLE_EQ(calibrator.overlay().gpu_scale, options.max_scale);
   EXPECT_TRUE(Contains(registry.RenderPrometheus(),
-                       "dido_recal_t2_clamped_steps_total"));
+                       "dido_recal_clamped_steps_total"));
 }
 
 TEST(ObsRecalibrateTest, CommitEmitsGaugesCallbackAndTraceSpan) {
   MetricsRegistry registry;
   TraceCollector trace;
   OnlineCalibrator::Options options;
-  options.prefix = "dido_recal_t3";
   int commits = 0;
   CalibrationOverlay last;
   options.on_commit = [&](const CalibrationOverlay& overlay) {
@@ -567,11 +547,11 @@ TEST(ObsRecalibrateTest, CommitEmitsGaugesCallbackAndTraceSpan) {
   EXPECT_EQ(last.generation, calibrator.generation());
   EXPECT_NEAR(last.gpu_scale, 1.5, 0.07);
   const std::string text = registry.RenderPrometheus();
-  EXPECT_TRUE(Contains(text, "dido_recal_t3_generation"));
-  EXPECT_TRUE(Contains(text, "dido_recal_t3_scale{device=\"CPU\"}"));
-  EXPECT_TRUE(Contains(text, "dido_recal_t3_scale{device=\"GPU\"}"));
-  EXPECT_TRUE(Contains(text, "dido_recal_t3_prefit_abs_rel_error"));
-  EXPECT_TRUE(Contains(text, "dido_recal_t3_postfit_abs_rel_error"));
+  EXPECT_TRUE(Contains(text, "dido_recal_generation"));
+  EXPECT_TRUE(Contains(text, "dido_recal_scale{device=\"CPU\"}"));
+  EXPECT_TRUE(Contains(text, "dido_recal_scale{device=\"GPU\"}"));
+  EXPECT_TRUE(Contains(text, "dido_recal_prefit_abs_rel_error"));
+  EXPECT_TRUE(Contains(text, "dido_recal_postfit_abs_rel_error"));
   // Every commit is one span on the calibration lane, with the fitted
   // scales in its args.
   int spans = 0;
@@ -591,7 +571,6 @@ TEST(ObsRecalibrateTest, TrackerForwardsResidualsIntoClosedLoop) {
   OnlineCalibrator::Options recal_options;
   OnlineCalibrator calibrator(recal_options);
   CostDriftTracker::Options options;
-  options.prefix = "dido_t9";
   options.calibrator = &calibrator;
   CostDriftTracker tracker(&registry, options);
   // The "hardware" runs the GPU 1.5x slower than predicted; the tracker is
