@@ -1,12 +1,20 @@
 // Wall-clock micro-benchmarks (google-benchmark) of the epoch-based
 // reclamation subsystem: the raw pin/unpin cost on both the registered
 // slot path and the shared-refcount fallback, the GET path with and
-// without its EpochGuard, and KvRuntime::Put on a full store, where every
-// SET detaches, unlinks and quarantines a victim.  These document the
+// without its EpochGuard, KvRuntime::Put on a full store, where every
+// SET detaches, unlinks and quarantines a victim, and the direct
+// Put/GetValue calls on a store that fits in cache, where the per-call
+// counter fold is a visible share of the cost.  These document the
 // overhead EBR adds to the store's hot paths.
+//
+// The store-level benches run 10 repetitions and report their median and
+// interquartile range: single runs of them spread too widely to resolve
+// the changes they are quoted for.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,9 +23,29 @@
 #include "mem/slab_allocator.h"
 #include "pipeline/kv_runtime.h"
 #include "sync/epoch.h"
+#include "workload/workload.h"
 
 namespace dido {
 namespace {
+
+constexpr int kRepetitions = 10;
+
+double InterquartileRange(const std::vector<double>& values) {
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  const auto at = [&sorted](double q) {
+    const double rank = q * static_cast<double>(sorted.size() - 1);
+    return sorted[static_cast<size_t>(rank)];
+  };
+  return sorted.empty() ? 0.0 : at(0.75) - at(0.25);
+}
+
+// Repeated runs reported as their median and interquartile range.
+void RepeatedWithSpread(benchmark::internal::Benchmark* bench) {
+  bench->Repetitions(kRepetitions)
+      ->ComputeStatistics("iqr", &InterquartileRange)
+      ->ReportAggregatesOnly(true);
+}
 
 // ------------------------------------------------------ pin primitives --
 
@@ -149,7 +177,63 @@ void BM_SetEvict_EpochQuarantine(benchmark::State& state) {
     benchmark::DoNotOptimize(runtime.Put(key, "value-payload").ok());
   }
 }
-BENCHMARK(BM_SetEvict_EpochQuarantine);
+BENCHMARK(BM_SetEvict_EpochQuarantine)->Apply(RepeatedWithSpread);
+
+// ------------------------------------------------- direct API (no evict) --
+
+// The store shape of livebench's zipf-read-inline workload: a 1 MiB arena,
+// 2048 index buckets and K16 objects preloaded to 80% of the arena's
+// capacity, so a replacement SET never evicts.  Keys are drawn from the
+// preloaded set with the workload's Zipf skew.
+struct DirectFixture {
+  static constexpr size_t kKeys = 1 << 12;  // a power of two
+
+  std::unique_ptr<KvRuntime> runtime;
+  std::vector<std::string> keys;
+  std::string value;
+
+  DirectFixture() {
+    const WorkloadSpec spec =
+        MakeWorkload(DatasetK16(), 95, KeyDistribution::kZipf);
+    KvRuntime::Options options;
+    options.slab.arena_bytes = 1 << 20;
+    options.index.num_buckets = 1 << 11;
+    runtime = std::make_unique<KvRuntime>(options);
+    const uint64_t capacity = runtime->memory().allocator().CapacityForObject(
+        spec.dataset.key_size, spec.dataset.value_size);
+    const uint64_t resident = runtime->Preload(
+        spec.dataset,
+        static_cast<uint64_t>(static_cast<double>(capacity) * 0.8));
+    WorkloadGenerator generator(spec, resident, 7);
+    keys.resize(kKeys, std::string(spec.dataset.key_size, '\0'));
+    for (std::string& key : keys) {
+      MaterializeKey(generator.Next().key_index, spec.dataset.key_size,
+                     reinterpret_cast<uint8_t*>(key.data()));
+    }
+    value.assign(spec.dataset.value_size, 'v');
+  }
+};
+
+void BM_DirectPut(benchmark::State& state) {
+  DirectFixture f;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        f.runtime->Put(f.keys[i++ & (DirectFixture::kKeys - 1)], f.value)
+            .ok());
+  }
+}
+BENCHMARK(BM_DirectPut)->Apply(RepeatedWithSpread);
+
+void BM_DirectGet(benchmark::State& state) {
+  DirectFixture f;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        f.runtime->GetValue(f.keys[i++ & (DirectFixture::kKeys - 1)]));
+  }
+}
+BENCHMARK(BM_DirectGet)->Apply(RepeatedWithSpread);
 
 }  // namespace
 }  // namespace dido

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/logging.h"
 #include "core/system_runner.h"
@@ -58,10 +59,13 @@ void ReporterLoop(obs::MetricsRegistry& registry,
   }
 }
 
+// Serves `source` live for `millis` ms.  `frames_received` counts the
+// response frames the client end took off the TX ring.
 LivePipeline::Stats ServeLive(KvRuntime& runtime, const PipelineConfig& config,
                               TrafficSource& source, int millis,
                               obs::MetricsRegistry* metrics,
-                              obs::TraceCollector* trace) {
+                              obs::TraceCollector* trace,
+                              uint64_t* frames_received) {
   // Bounded TX ring with drop-oldest overflow: under overload the server
   // abandons the stalest responses rather than blocking the pipeline.
   FrameRing tx_ring(4096, OverflowPolicy::kDropOldest);
@@ -72,6 +76,23 @@ LivePipeline::Stats ServeLive(KvRuntime& runtime, const PipelineConfig& config,
   options.metrics = metrics;
   options.trace = trace;
   LivePipeline pipeline(&runtime, config, options);
+
+  // The client end of the TX ring: takes response frames off as the
+  // pipeline writes them, so the ring drops only when the client falls
+  // behind.  After Stop it drains what is left, then exits.
+  std::atomic<bool> stop_client{false};
+  *frames_received = 0;
+  std::thread client([&] {
+    std::vector<Frame> frames;
+    while (true) {
+      const bool stopping = stop_client.load(std::memory_order_acquire);
+      frames.clear();
+      *frames_received += tx_ring.PopBatch(256, &frames);
+      if (!frames.empty()) continue;
+      if (stopping) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
   DIDO_CHECK(pipeline.Start(&source).ok());
 
   std::atomic<bool> stop_reporter{false};
@@ -79,6 +100,8 @@ LivePipeline::Stats ServeLive(KvRuntime& runtime, const PipelineConfig& config,
       [&] { ReporterLoop(*metrics, stop_reporter); });
   std::this_thread::sleep_for(std::chrono::milliseconds(millis));
   pipeline.Stop();
+  stop_client.store(true, std::memory_order_release);
+  client.join();
   stop_reporter.store(true, std::memory_order_release);
   reporter.join();
   tx_ring.RegisterMetrics(nullptr, "tx");
@@ -132,8 +155,9 @@ int main() {
        {std::pair<const char*, PipelineConfig>{"DIDO-style", dido_config},
         std::pair<const char*, PipelineConfig>{"Mega-KV static",
                                                PipelineConfig::MegaKv()}}) {
-    const LivePipeline::Stats stats =
-        ServeLive(runtime, config, source, 2000, &metrics, &trace);
+    uint64_t frames_received = 0;
+    const LivePipeline::Stats stats = ServeLive(
+        runtime, config, source, 2000, &metrics, &trace, &frames_received);
     std::printf("%-16s %s\n", name, config.ToString().c_str());
     std::printf("  %.2f s wall, %lu batches, %lu queries, %.2f Mops "
                 "(host machine), hit ratio %.2f%%\n",
@@ -147,7 +171,8 @@ int main() {
                 "retries, %lu error responses,\n"
                 "              %lu failovers / %lu repromotions, %lu "
                 "degraded batches, %lu malformed frames,\n"
-                "              %lu responses dropped by the TX ring\n\n",
+                "              %lu response frames received, %lu "
+                "dropped by the TX ring\n\n",
                 static_cast<unsigned long>(d.shed_batches),
                 static_cast<unsigned long>(d.shed_queries),
                 static_cast<unsigned long>(d.set_retries),
@@ -156,6 +181,7 @@ int main() {
                 static_cast<unsigned long>(d.repromotions),
                 static_cast<unsigned long>(d.degraded_batches),
                 static_cast<unsigned long>(d.malformed_frames),
+                static_cast<unsigned long>(frames_received),
                 static_cast<unsigned long>(d.responses_dropped));
   }
 

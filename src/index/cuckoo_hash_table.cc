@@ -317,16 +317,6 @@ CuckooHashTable::Counters& CuckooHashTable::Counters::operator+=(
   return *this;
 }
 
-CuckooHashTable::Counters CuckooHashTable::counters() const {
-  MutexLock lock(totals_mu_);
-  return totals_;
-}
-
-void CuckooHashTable::Accumulate(const Counters& tally) {
-  MutexLock lock(totals_mu_);
-  totals_ += tally;
-}
-
 uint64_t CuckooHashTable::LiveEntries() const {
   // relaxed: approximate occupancy statistic, orders nothing.
   return live_entries_.load(std::memory_order_relaxed);

@@ -9,8 +9,9 @@
 
 #include "common/mapped_region.h"
 #include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "common/status.h"
+#include "common/tally_shards.h"
+#include "common/thread_annotations.h"
 #include "mem/kv_object.h"
 
 namespace dido {
@@ -122,10 +123,12 @@ class CuckooHashTable {
 
   // Totals of every tally folded in through Accumulate.  KvRuntime folds a
   // batch's tally when the batch retires and a direct call's before the
-  // call returns, so operations still in flight are not yet included.
-  // DIDO_COLD: the fold runs once per batch, never per operation.
-  Counters counters() const DIDO_EXCLUDES(totals_mu_);
-  void Accumulate(const Counters& tally) DIDO_EXCLUDES(totals_mu_) DIDO_COLD;
+  // call returns, so operations still in flight are not yet included.  The
+  // fold adds into the calling thread's own shard (TallyShards).  DIDO_HOT:
+  // every direct call folds, so the hot pass holds the fold to no lock and
+  // no read-modify-write.
+  Counters counters() const { return totals_.Sum(); }
+  void Accumulate(const Counters& tally) DIDO_HOT { totals_.Add(tally); }
 
  private:
   using Slot = std::atomic<uint64_t>;
@@ -162,9 +165,8 @@ class CuckooHashTable {
   Bucket* const buckets_;
   std::atomic<uint64_t> live_entries_{0};
   Mutex displacement_mu_;  // serializes cuckoo path moves
-  // Cold: taken once per retired batch or direct call, never per op.
-  mutable Mutex totals_mu_;
-  Counters totals_ DIDO_GUARDED_BY(totals_mu_);
+  // dido-analyze: allow(lock): per-thread shards, synchronizes itself.
+  TallyShards<Counters> totals_;
   const Options options_;
 };
 

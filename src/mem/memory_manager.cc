@@ -63,9 +63,9 @@ void MemoryManager::RetireDetached(KvObject* object) {
 void MemoryManager::ReleaseDetachedThunk(void* ctx, void* ptr) {
   auto* manager = static_cast<MemoryManager*>(ctx);
   manager->allocator_.ReleaseDetached(static_cast<KvObject*>(ptr));
-  // relaxed: monotonic statistic, orders nothing.  Counted here (not at
-  // Retire) so allocations - frees still equals live + quarantined.
-  manager->frees_.fetch_add(1, std::memory_order_relaxed);
+  // Counted here (not at Retire) so allocations - frees still equals
+  // live + quarantined.
+  manager->totals_.Add(Counters{.frees = 1});
 }
 
 }  // namespace dido

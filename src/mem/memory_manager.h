@@ -1,14 +1,13 @@
 #ifndef DIDO_MEM_MEMORY_MANAGER_H_
 #define DIDO_MEM_MEMORY_MANAGER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
+#include "common/tally_shards.h"
 #include "common/thread_annotations.h"
 #include "mem/slab_allocator.h"
 
@@ -26,7 +25,8 @@ class MemoryManager {
   // Allocation counts.  The allocating caller (KvRuntime) tallies
   // allocations, evictions and failed allocations itself, since the
   // results of AllocateObject carry all three, and folds its tally in
-  // through Accumulate.  Frees are counted here (see frees_).
+  // through Accumulate.  Frees are folded by the epoch deleter, one per
+  // object, on whichever thread drains the quarantine.
   struct Counters {
     uint64_t allocations = 0;
     uint64_t evictions = 0;
@@ -85,36 +85,17 @@ class MemoryManager {
 
   SlabAllocator& allocator() { return allocator_; }
 
-  // The folded tallies plus the frees counted so far.
-  Counters counters() const DIDO_EXCLUDES(totals_mu_) {
-    MutexLock lock(totals_mu_);
-    Counters snapshot = totals_;
-    // relaxed: monotonic statistic, orders nothing.
-    snapshot.frees = frees_.load(std::memory_order_relaxed);
-    return snapshot;
-  }
-  // DIDO_COLD: as CuckooHashTable::Accumulate, once per batch.
-  void Accumulate(const Counters& tally) DIDO_EXCLUDES(totals_mu_) DIDO_COLD {
-    MutexLock lock(totals_mu_);
-    totals_ += tally;
-  }
+  // Totals of the folded tallies; as CuckooHashTable::counters().
+  Counters counters() const { return totals_.Sum(); }
+  void Accumulate(const Counters& tally) DIDO_HOT { totals_.Add(tally); }
 
  private:
   // Deleter thunk handed to EpochManager::Retire.
   static void ReleaseDetachedThunk(void* ctx, void* ptr);
 
-  // dido-analyze: allow(lock): synchronizes itself; totals_mu_ guards
-  // only totals_.
   SlabAllocator allocator_;
-  // dido-analyze: allow(lock): reference set at construction.
   EpochManager& epoch_;
-  // Cold: taken once per retired batch or direct call, never per op.
-  mutable Mutex totals_mu_;
-  Counters totals_ DIDO_GUARDED_BY(totals_mu_);
-  // The one count no query's tally can carry: the epoch deleter runs on
-  // whichever thread drains the quarantine.  A relaxed atomic, since it
-  // orders nothing.
-  std::atomic<uint64_t> frees_{0};
+  TallyShards<Counters> totals_;
 };
 
 }  // namespace dido

@@ -97,8 +97,8 @@ class Counter {
     // relaxed: the stripe assignment only needs to be unique-ish, it orders
     // nothing.
     static std::atomic<size_t> next_stripe{0};
+    // Runs once per thread, on first use.
     thread_local const size_t stripe =
-        // dido-analyze: allow(hot): runs once per thread, on first use.
         next_stripe.fetch_add(1, std::memory_order_relaxed);
     return stripe % kShards;
   }

@@ -53,9 +53,11 @@ class KvRuntime {
   // Publishes the runtime's component counters (cuckoo probes and
   // displacements, allocator traffic, epoch reclaim depth, live objects)
   // into `registry` as collector-backed series sampled at exposition time.
-  // The dido_index_* and dido_mem_* series (frees aside) are sums of
-  // per-batch tallies: they advance when a batch retires and when a direct
-  // call (Put, GetValue, DeleteKey, Preload) returns, never per operation.
+  // The dido_index_* and dido_mem_* series are sums of per-batch tallies:
+  // they advance when a batch retires, when a direct call (Put, GetValue,
+  // DeleteKey, Preload) returns and, for frees, when the epoch deleter
+  // frees an object, never per operation.  Each series is monotone; one
+  // scrape is not an atomic snapshot across series (see TallyShards).
   // Undone on destruction or by re-registering against nullptr; the
   // registry must therefore outlive this runtime (or be detached first).
   void RegisterMetrics(obs::MetricsRegistry* registry);
@@ -180,10 +182,11 @@ class KvRuntime {
   // retries.  Bounded; on exhaustion returns kOutOfMemory.  Victims are
   // appended to `evictions` (required non-null); their index entries are
   // already gone when this returns.  The allocation, every victim and a
-  // definitive failure are counted into `tally` (required non-null).  When `retries` is non-null, every attempt
-  // beyond the first is counted into it (feeds DegradationStats).  Must not
-  // be called while the calling thread holds an epoch pin — the reclaim it
-  // waits for could then never happen.
+  // definitive failure are counted into `tally` (required non-null).  When
+  // `retries` is non-null, every attempt beyond the first is counted into
+  // it (feeds DegradationStats).  Must not be called while the calling
+  // thread holds an epoch pin — the reclaim it waits for could then never
+  // happen.
   Result<KvObject*> AllocateWithEviction(
       std::string_view key, std::string_view value, uint32_t version,
       std::vector<SlabAllocator::EvictedObject>* evictions,

@@ -1,11 +1,14 @@
 // Unit tests for src/common: Status/Result, Random, Zipf, Hash, Histogram,
-// RunningStats, MappedRegion.
+// RunningStats, MappedRegion, TallyShards.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <latch>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "common/tally_shards.h"
 #include "common/zipf.h"
 
 namespace dido {
@@ -592,6 +596,74 @@ TEST(Crc32cTest, DetectsSingleBitFlips) {
     buf[bit / 8] ^= static_cast<char>(1 << (bit % 8));
     EXPECT_NE(Crc32c(buf), base) << "undetected flip at bit " << bit;
     buf[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+  }
+}
+
+// ----------------------------------------------------------- TallyShards --
+
+struct TestTally {
+  uint64_t events = 0;
+  uint64_t weight = 0;
+};
+
+TEST(TallyShardsTest, SumsAddedTallies) {
+  TallyShards<TestTally> shards;
+  EXPECT_EQ(shards.Sum().events, 0u);
+  shards.Add({.events = 2, .weight = 5});
+  shards.Add({.events = 3});
+  EXPECT_EQ(shards.Sum().events, 5u);
+  EXPECT_EQ(shards.Sum().weight, 5u);
+}
+
+// Eight threads hold eight distinct ids at once, so with a capacity of four
+// at least four of them add through the overflow shard; the sums stay exact.
+TEST(TallyShardsTest, ThreadsPastCapacityAddExactlyThroughOverflow) {
+  constexpr size_t kThreads = 8;
+  constexpr uint64_t kAdds = 1000;
+  TallyShards<TestTally, 4> shards;
+  std::latch all_registered(kThreads);
+  std::vector<size_t> ids(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ids[t] = ThreadShardId::Get();
+      all_registered.arrive_and_wait();
+      for (uint64_t i = 0; i < kAdds; ++i) {
+        shards.Add({.events = 1, .weight = t});
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(std::set<size_t>(ids.begin(), ids.end()).size(), kThreads);
+  EXPECT_GE(std::count_if(ids.begin(), ids.end(),
+                          [&](size_t id) { return id >= shards.capacity(); }),
+            4);
+  EXPECT_EQ(shards.Sum().events, kThreads * kAdds);
+  EXPECT_EQ(shards.Sum().weight, kAdds * (kThreads * (kThreads - 1) / 2));
+}
+
+// A thread that exits returns its id; the next thread takes it over and
+// adds on top of the counts left in its shard.
+TEST(ThreadShardIdTest, ExitedThreadsIdIsReusedAndItsCountsKept) {
+  TallyShards<TestTally> shards;
+  size_t first = 0;
+  size_t second = 0;
+  std::thread([&] {
+    first = ThreadShardId::Get();
+    shards.Add({.events = 5});
+  }).join();
+  std::thread([&] {
+    second = ThreadShardId::Get();
+    shards.Add({.events = 3});
+  }).join();
+  EXPECT_EQ(second, first);
+  EXPECT_LT(first, shards.capacity());
+  EXPECT_EQ(shards.Sum().events, 8u);
+  // Ids are bounded by the threads alive at once, not by those ever made.
+  for (int i = 0; i < 16; ++i) {
+    size_t id = 0;
+    std::thread([&] { id = ThreadShardId::Get(); }).join();
+    EXPECT_EQ(id, first);
   }
 }
 

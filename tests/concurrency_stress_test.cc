@@ -3,6 +3,7 @@
 // CMake preset).  Sizes are kept modest so the suite stays fast under the
 // ~10x TSan slowdown while still forcing real interleavings.
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -296,6 +297,81 @@ TEST(KvRuntimeStressTest, EvictionHeavyPutGetChurn) {
 }
 
 // ------------------------------------------------------- LivePipeline --
+
+// Writers fold tallies into the index and memory totals while a reader
+// polls counters(): every field only grows while the folds run, and after
+// the join each total is exactly the sum of the folded tallies.
+TEST(KvRuntimeStressTest, CounterFoldsStayMonotoneAndSumExactly) {
+  KvRuntime::Options rt;
+  rt.slab.arena_bytes = 1 << 20;
+  rt.index.num_buckets = 1 << 10;
+  KvRuntime runtime(rt);
+
+  constexpr uint64_t kWriters = 4;
+  constexpr uint64_t kFolds = 100000;
+  const auto index_fields = [](const CuckooHashTable::Counters& c) {
+    return std::array<uint64_t, 9>{
+        c.searches,      c.search_buckets_probed, c.search_primary_hits,
+        c.inserts,       c.insert_buckets_probed, c.displacements,
+        c.deletes,       c.delete_buckets_probed, c.failed_inserts};
+  };
+  const auto mem_fields = [](const MemoryManager::Counters& c) {
+    return std::array<uint64_t, 4>{c.allocations, c.evictions, c.frees,
+                                   c.failed_allocations};
+  };
+
+  std::atomic<bool> reading{false};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&runtime, &reading, w] {
+      while (!reading.load()) std::this_thread::yield();
+      // Writer w adds w + 1 to every field per fold.
+      const uint64_t n = w + 1;
+      const CuckooHashTable::Counters index{n, n, n, n, n, n, n, n, n};
+      const MemoryManager::Counters mem{n, n, n, n};
+      for (uint64_t i = 0; i < kFolds; ++i) {
+        runtime.index().Accumulate(index);
+        runtime.memory().Accumulate(mem);
+      }
+    });
+  }
+  uint64_t polls = 0;
+  uint64_t regressions = 0;
+  std::thread reader([&] {
+    std::array<uint64_t, 9> last_index{};
+    std::array<uint64_t, 4> last_mem{};
+    while (!done.load()) {
+      const std::array<uint64_t, 9> index =
+          index_fields(runtime.index().counters());
+      const std::array<uint64_t, 4> mem =
+          mem_fields(runtime.memory().counters());
+      for (size_t f = 0; f < index.size(); ++f) {
+        regressions += index[f] < last_index[f] ? 1 : 0;
+      }
+      for (size_t f = 0; f < mem.size(); ++f) {
+        regressions += mem[f] < last_mem[f] ? 1 : 0;
+      }
+      last_index = index;
+      last_mem = mem;
+      polls += 1;
+      reading.store(true);
+    }
+  });
+  for (std::thread& writer : writers) writer.join();
+  done.store(true);
+  reader.join();
+
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(regressions, 0u);
+  const uint64_t expected = kFolds * (kWriters * (kWriters + 1) / 2);
+  for (uint64_t value : index_fields(runtime.index().counters())) {
+    EXPECT_EQ(value, expected);
+  }
+  for (uint64_t value : mem_fields(runtime.memory().counters())) {
+    EXPECT_EQ(value, expected);
+  }
+}
 
 struct StressFixture {
   std::unique_ptr<KvRuntime> runtime;

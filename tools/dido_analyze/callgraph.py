@@ -58,6 +58,22 @@ _NON_FUNC_KEYWORDS = frozenset((
 # and member-container noise (push_back, load, ...) drops out naturally.
 _CALL_EDGE_RE = re.compile(r"\b([A-Za-z_][\w]*)\s*\(")
 
+# What a call edge's name is reached through, matched against the text just
+# before the name: a data member (`index_->Delete(`, `totals_.Add(`; members
+# follow the repo's trailing-underscore convention) or a class
+# (`ThreadShardId::Get(`).  Anything else resolves by name alone.
+_MEMBER_RECEIVER_RE = re.compile(r"\b(\w+_)\s*(?:->|\.)\s*$")
+_CLASS_RECEIVER_RE = re.compile(r"\b([A-Z]\w*)\s*::\s*$")
+
+# Data-member declarations in a class body: `Type name_;`, with any
+# initializer or DIDO_* annotation stripped first.
+_ACCESS_RE = re.compile(r"\b(?:public|private|protected)\s*:")
+_DIDO_MACRO_RE = re.compile(
+    r"\bDIDO_[A-Z_]+\s*(?:\((?:[^()]|\([^()]*\))*\))?")
+_MEMBER_DECL_RE = re.compile(r"^(.*?)\b(\w+_)\s*(?:\[[^\]]*\])?\s*$")
+_SMART_PTR_RE = re.compile(r"\b(?:unique_ptr|shared_ptr)\s*<\s*([\w:]+)")
+_TYPE_QUALIFIERS = frozenset(("const", "mutable", "static"))
+
 # --- impurity primitives (hot pass) ---------------------------------------
 # Each matches against a comment/string-stripped source line.  Findings are
 # reported at the matching line, in the file that owns it, with the call
@@ -115,16 +131,26 @@ class FunctionDef:
         self.body = []            # [(line_no, stripped_text)] incl. head
         self.callees = set()      # unqualified names of calls in the body
         self.call_lines = {}      # callee name -> set of call-site line_nos
+        # callee name -> receivers of its call sites: ("member", "index_"),
+        # ("class", "ThreadShardId"), or None for a bare call.
+        self.receivers = {}
         self.markers = set()      # MARKERS present on the definition head
+        self._declarator_seen = False
 
     def add_line(self, line_no, stripped):
         self.body.append((line_no, stripped))
         self.end_line = line_no
         for m in _CALL_EDGE_RE.finditer(stripped):
             name = m.group(1)
+            if not self._declarator_seen and name == self.name.lstrip("~"):
+                # The definition's own name in its head is not a call.
+                self._declarator_seen = True
+                continue
             if name not in _NON_FUNC_KEYWORDS:
                 self.callees.add(name)
                 self.call_lines.setdefault(name, set()).add(line_no)
+                self.receivers.setdefault(name, set()).add(
+                    _receiver(stripped[:m.start()]))
 
     def statements(self):
         """Yields (first_line_no, text) per `;`/`{`/`}`-terminated statement.
@@ -152,6 +178,39 @@ class FunctionDef:
             yield (acc_line, " ".join(acc).strip())
 
 
+def _owner(qual):
+    """Innermost class of a qualified name, or None."""
+    parts = qual.split("::")
+    return parts[-2] if len(parts) > 1 else None
+
+
+def _receiver(prefix):
+    m = _MEMBER_RECEIVER_RE.search(prefix)
+    if m:
+        return ("member", m.group(1))
+    m = _CLASS_RECEIVER_RE.search(prefix)
+    if m:
+        return ("class", m.group(1))
+    return None
+
+
+def _member_type(decl):
+    """Class name of a member's declared type, or None.
+
+    `std::unique_ptr<CuckooHashTable>` -> `CuckooHashTable`,
+    `Bucket* const` -> `Bucket`, `TallyShards<Counters>` -> `TallyShards`.
+    """
+    m = _SMART_PTR_RE.search(decl)
+    if m:
+        return m.group(1).split("::")[-1]
+    prev = None
+    while prev != decl:
+        prev, decl = decl, re.sub(r"<[^<>]*>", "", decl)
+    names = [w for w in re.findall(r"[A-Za-z_][\w:]*", decl)
+             if w not in _TYPE_QUALIFIERS]
+    return names[-1].split("::")[-1] if names else None
+
+
 class Model:
     """All function definitions in the tree plus declaration markers."""
 
@@ -159,10 +218,47 @@ class Model:
         self.functions = []
         self.by_name = {}       # unqualified name -> [FunctionDef]
         self.decl_markers = {}  # unqualified name -> set of MARKERS
+        self.member_types = {}  # class name -> {member name: type name}
 
     def add(self, fn):
         self.functions.append(fn)
         self.by_name.setdefault(fn.name, []).append(fn)
+
+    def add_member(self, cls, stmt):
+        """Records the type of a data member declared by `stmt` in `cls`."""
+        if cls is None:
+            return
+        decl = _DIDO_MACRO_RE.sub(" ", _ACCESS_RE.sub(" ", stmt))
+        decl = decl.split("=", 1)[0].strip()
+        m = _MEMBER_DECL_RE.match(decl)
+        if m is None or "(" in decl:
+            return
+        typ = _member_type(m.group(1))
+        if typ is not None:
+            self.member_types.setdefault(cls, {})[m.group(2)] = typ
+
+    def resolve(self, fn, name):
+        """The definitions a call to `name` in `fn` may reach.
+
+        A call through a data member of `fn`'s class whose declared type is
+        known, or through an explicit `Class::`, reaches that class's
+        definitions of `name`.  A bare call, a receiver of unknown type, or
+        a type with no in-tree `name` falls back to every definition of
+        `name`.
+        """
+        defs = self.by_name.get(name, ())
+        members = self.member_types.get(_owner(fn.qual), {})
+        found = []
+        for recv in sorted(fn.receivers.get(name, {None}), key=str):
+            typ = None
+            if recv is not None:
+                kind, ident = recv
+                typ = ident if kind == "class" else members.get(ident)
+            typed = [d for d in defs if typ and _owner(d.qual) == typ]
+            for d in typed or defs:
+                if d not in found:
+                    found.append(d)
+        return found
 
     def add_decl_marker(self, name, marker):
         self.decl_markers.setdefault(name, set()).add(marker)
@@ -284,14 +380,14 @@ def _parse_file(model, sf):
                     scopes.append(_Scope("block"))
                     buf.append(ch)
                     continue
-                # A function template is modeled like the function it
-                # stamps out; a class template stays an opaque block.
+                # A function or class template is modeled like the
+                # function or class it stamps out.
                 decl = _strip_template_prefix(head)
                 name = _head_function_name(decl)
-                first = head.split(None, 1)[0] if head.split() else ""
+                first = decl.split(None, 1)[0] if decl.split() else ""
                 if first in ("class", "struct") and name is None:
                     m = re.match(r"(?:class|struct)\s+(?:\w+\s+)*?(\w+)",
-                                 head)
+                                 decl)
                     scopes.append(
                         _Scope("class", m.group(1) if m else None))
                 elif first == "namespace":
@@ -316,6 +412,9 @@ def _parse_file(model, sf):
                     fn = new_fn
                     del buf[:]
                 else:
+                    if scopes and scopes[-1].kind == "class":
+                        # A brace-initialized member: `Type name_{...}`.
+                        model.add_member(class_name(), head)
                     scopes.append(_Scope("block"))
             elif ch == "}":
                 if fn is not None:
@@ -328,6 +427,8 @@ def _parse_file(model, sf):
                         fn = innermost_fn()
                 acc = []
             elif ch == ";":
+                if fn is None and scopes and scopes[-1].kind == "class":
+                    model.add_member(class_name(), "".join(acc))
                 acc = []
                 if fn is not None:
                     buf.append(ch)
@@ -365,8 +466,10 @@ def reachable(model, roots, prune_pass=None):
 
     Returns {FunctionDef: path} where path is the chain of function names
     from a root to that definition (roots map to a one-element path).
-    Resolution is by unqualified name — conservative: a name shared by
-    several definitions pulls all of them in.  Only CamelCase names (the
+    Resolution (Model.resolve) follows a call through a typed data member
+    or an explicit `Class::` to that class's definition; otherwise it is by
+    unqualified name — conservative: a name shared by several definitions
+    pulls all of them in.  Only CamelCase names (the
     repo's method convention) are resolved: lowercase callees like
     `.size()` / `.ok()` are ubiquitous STL/accessor spellings whose
     name-only resolution would wire every kernel to every container-like
@@ -401,7 +504,7 @@ def reachable(model, roots, prune_pass=None):
                 if sites and all(fn.sf.allowed(prune_pass, line)
                                  for line in sites):
                     continue
-            for callee in model.by_name.get(callee_name, ()):
+            for callee in model.resolve(fn, callee_name):
                 if callee in paths:
                     continue
                 if "DIDO_COLD" in model.markers_of(callee):

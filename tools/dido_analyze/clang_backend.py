@@ -200,6 +200,9 @@ def build_ast_model(files, backend, compile_commands):
 
     by_path = {str(sf.path.resolve()): sf for sf in files}
     model = callgraph.Model()
+    # Member types for call resolution come from the text backend's
+    # class-body scan; the AST extents carry no member declarations.
+    model.member_types = callgraph.build_text_model(files).member_types
     covered = set()
     for sf in files:
         callgraph._collect_decl_markers(model, sf)

@@ -1,10 +1,11 @@
 """Hot-path purity pass: DIDO_HOT kernels must stay lock/alloc/block-free.
 
 Roots are every function whose declaration or definition carries DIDO_HOT.
-The pass walks the transitive call graph from the roots (resolution by
-unqualified name against in-tree definitions — conservative: a shared name
-pulls in every definition) and scans each reachable function's body lines
-for impurity primitives:
+The pass walks the transitive call graph from the roots (a call through a
+data member of known type, or through `Class::`, resolves to that class's
+definition; any other call by unqualified name against in-tree
+definitions — conservative: a shared name pulls in every definition) and
+scans each reachable function's body lines for impurity primitives:
 
   lock     MutexLock / UniqueMutexLock / std::*_lock / .Lock() / .lock()
   alloc    new, make_unique/shared, malloc family, container growth
