@@ -28,8 +28,7 @@ int main() {
   const uint64_t objects = runtime.Preload(workload.dataset, 300000);
   WorkloadGenerator generator(workload, objects, 1);
   TrafficSource source(&generator);
-  ExecutorOptions options;
-  PipelineExecutor executor(&runtime, DefaultKaveriSpec(), options);
+  PipelineExecutor executor(&runtime, DefaultKaveriSpec(), ExecutorOptions());
 
   PipelineConfig config = PipelineConfig::MegaKv();
   config.static_cpu_assignment = false;
@@ -64,9 +63,9 @@ int main() {
     (stealable ? eligible_us : residual_us) += tb.time_us;
   }
   // Thief-side total for the eligible tasks (crude: same eligible time
-  // scaled by the executor's steal efficiency — the sweep only varies
+  // scaled by the shared steal efficiency — the sweep only varies
   // granularity, so a fixed thief speed is fine).
-  const double thief_total_us = eligible_us / options.steal_efficiency * 0.8;
+  const double thief_total_us = eligible_us / kStealEfficiency * 0.8;
 
   std::printf("bottleneck %s stage: eligible %.1f us, residual %.1f us, "
               "thief busy %.1f us\n\n",
@@ -80,7 +79,7 @@ int main() {
         (result.batch_size + granularity - 1) / granularity;
     const StealSplit split = SolveStealSplit(
         chunks, eligible_us / chunks, residual_us, thief_busy,
-        thief_total_us / chunks, options.steal_sync_us);
+        thief_total_us / chunks, kStealSyncUs);
     std::printf("%-14lu %12lu %12.1f %13.1f%%\n",
                 static_cast<unsigned long>(granularity),
                 static_cast<unsigned long>(chunks), split.finish_us,

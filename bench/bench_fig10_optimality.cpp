@@ -47,8 +47,8 @@ int main() {
     const uint64_t objects = store.Preload(
         workload.dataset, PreloadTarget(workload.dataset,
                                         experiment.arena_bytes,
-                                        experiment.preload_fraction));
-    WorkloadSession session(workload, objects, experiment.workload_seed);
+                                        kPreloadFraction));
+    WorkloadSession session(workload, objects, kWorkloadSeed);
 
     double best = 0.0;
     double worst = 1e30;

@@ -85,8 +85,6 @@ uint32_t Crc32cPortable(uint32_t crc, const void* data, size_t n) {
   return crc;
 }
 
-bool Crc32cHardwareAvailable() { return DetectHardware(); }
-
 }  // namespace internal
 
 uint32_t Crc32c(const void* data, size_t n) {

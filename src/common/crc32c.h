@@ -32,9 +32,8 @@ inline uint32_t Crc32cExtend(uint32_t crc, std::string_view s) {
 
 namespace internal {
 // Exposed for tests: the portable path must agree with the hardware path
-// on every input, and the availability probe must be callable directly.
+// on every input.
 uint32_t Crc32cPortable(uint32_t crc, const void* data, size_t n);
-bool Crc32cHardwareAvailable();
 }  // namespace internal
 
 }  // namespace dido

@@ -20,19 +20,6 @@ inline double ToMops(double operations, Micros elapsed_us) {
   return operations / elapsed_us;  // ops/us == Mops
 }
 
-// Monotonic simulated clock advanced by the pipeline engine.
-class SimClock {
- public:
-  SimClock() : now_us_(0.0) {}
-
-  Micros now() const { return now_us_; }
-  void Advance(Micros delta_us) { now_us_ += delta_us; }
-  void Reset() { now_us_ = 0.0; }
-
- private:
-  Micros now_us_;
-};
-
 }  // namespace dido
 
 #endif  // DIDO_COMMON_SIM_TIME_H_

@@ -50,10 +50,6 @@ double RunningStats::PopulationVariance() const {
   return count_ > 0 ? m2_ / static_cast<double>(count_) : 0.0;
 }
 
-double RunningStats::SampleVariance() const {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
 double RunningStats::PopulationStdDev() const {
   return std::sqrt(PopulationVariance());
 }

@@ -25,9 +25,8 @@ class RunningStats {
   uint64_t count() const { return count_; }
   double mean() const { return mean_; }
 
-  // Population variance (m2) and sample variance (n-1 denominator).
+  // Population variance (m2 / n).
   double PopulationVariance() const;
-  double SampleVariance() const;
   double PopulationStdDev() const;
 
   // g1 = m3 / m2^{3/2}: the population ("b1"-style) skewness coefficient.

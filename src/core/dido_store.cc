@@ -10,6 +10,9 @@
 namespace dido {
 namespace {
 
+// Load factor a full arena of expected-size objects puts on a derived index.
+constexpr double kIndexTargetLoad = 0.5;
+
 // Feeds one executed batch to `tracker`: `prediction`'s per-stage times
 // (after work stealing) and devices against `observed_us`, the batch's
 // simulated time per stage.  Skips the batch when the stage counts differ.
@@ -43,7 +46,7 @@ KvRuntime::Options MakeRuntimeOptions(const DidoOptions& options) {
         options.expected_key_bytes, options.expected_value_bytes);
     const double slots =
         static_cast<double>(std::max<uint64_t>(capacity, 1024)) /
-        std::max(0.05, options.index_target_load);
+        kIndexTargetLoad;
     buckets = std::bit_ceil(static_cast<uint64_t>(
         slots / CuckooHashTable::kSlotsPerBucket));
   }

@@ -27,9 +27,8 @@ struct DidoOptions {
   // Key-value memory budget (the paper's APU could share 1,908 MB; the
   // default here keeps experiments laptop-sized — see DESIGN.md).
   size_t arena_bytes = 64ull << 20;
-  // Cuckoo index sizing: buckets are derived from the arena capacity and
-  // this target load factor unless index_buckets is set explicitly.
-  double index_target_load = 0.5;
+  // Cuckoo index sizing: buckets are derived from the arena capacity at a
+  // 0.5 load factor unless index_buckets is set explicitly.
   uint64_t index_buckets = 0;  // 0 = derive
   uint32_t expected_key_bytes = 8;    // for capacity-based index sizing
   uint32_t expected_value_bytes = 8;

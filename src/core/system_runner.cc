@@ -1,8 +1,6 @@
 #include "core/system_runner.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "common/logging.h"
 
@@ -77,11 +75,11 @@ SystemMeasurement MeasureDido(const WorkloadSpec& workload,
   DidoStore store(MakeExperimentOptions(workload, experiment),
                   ExperimentSpec(experiment));
   const uint64_t target = PreloadTarget(
-      workload.dataset, experiment.arena_bytes, experiment.preload_fraction);
+      workload.dataset, experiment.arena_bytes, kPreloadFraction);
   const uint64_t preloaded = store.Preload(workload.dataset, target);
-  WorkloadSession session(workload, preloaded, experiment.workload_seed);
+  WorkloadSession session(workload, preloaded, kWorkloadSeed);
   PipelineExecutor::SteadyState steady = store.MeasureSteadyState(
-      *session.source, experiment.warmup_batches, experiment.measure_batches);
+      *session.source, kWarmupBatches, experiment.measure_batches);
   return FinishMeasurement(workload, "DIDO", store.current_config(), preloaded,
                            std::move(steady));
 }
@@ -92,9 +90,9 @@ SystemMeasurement MeasureMegaKvCoupled(const WorkloadSpec& workload,
       MegaKvCoupledOptions(MakeExperimentOptions(workload, experiment)),
       ExperimentSpec(experiment));
   const uint64_t target = PreloadTarget(
-      workload.dataset, experiment.arena_bytes, experiment.preload_fraction);
+      workload.dataset, experiment.arena_bytes, kPreloadFraction);
   const uint64_t preloaded = store.Preload(workload.dataset, target);
-  WorkloadSession session(workload, preloaded, experiment.workload_seed);
+  WorkloadSession session(workload, preloaded, kWorkloadSeed);
   PipelineExecutor::SteadyState steady = store.MeasureSteadyState(
       *session.source, /*warmup_batches=*/0, experiment.measure_batches);
   return FinishMeasurement(workload, "Mega-KV (Coupled)",
@@ -113,38 +111,14 @@ SystemMeasurement MeasureFixedConfig(const WorkloadSpec& workload,
   options.initial_config = config;
   DidoStore store(options, ExperimentSpec(pinned));
   const uint64_t target = PreloadTarget(
-      workload.dataset, experiment.arena_bytes, experiment.preload_fraction);
+      workload.dataset, experiment.arena_bytes, kPreloadFraction);
   const uint64_t preloaded = store.Preload(workload.dataset, target);
-  WorkloadSession session(workload, preloaded, experiment.workload_seed);
+  WorkloadSession session(workload, preloaded, kWorkloadSeed);
   PipelineExecutor::SteadyState steady = store.MeasureSteadyState(
       *session.source, /*warmup_batches=*/1, experiment.measure_batches);
   return FinishMeasurement(workload, "fixed:" + config.ToString(),
                            store.current_config(), preloaded,
                            std::move(steady));
-}
-
-LiveMeasurement MeasureLive(const WorkloadSpec& workload,
-                            const PipelineConfig& config,
-                            const ExperimentOptions& experiment,
-                            const LivePipeline::Options& live_options,
-                            int serve_millis) {
-  DIDO_CHECK(config.Valid()) << config.ToString();
-  KvRuntime runtime(
-      MakeRuntimeOptions(MakeExperimentOptions(workload, experiment)));
-  const uint64_t target = PreloadTarget(
-      workload.dataset, experiment.arena_bytes, experiment.preload_fraction);
-  const uint64_t preloaded = runtime.Preload(workload.dataset, target);
-  WorkloadSession session(workload, preloaded, experiment.workload_seed);
-  LivePipeline pipeline(&runtime, config, live_options);
-  DIDO_CHECK(pipeline.Start(session.source.get()).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(serve_millis));
-  pipeline.Stop();
-  LiveMeasurement m;
-  m.workload = workload.Name();
-  m.config = config.ToString();
-  m.preloaded_objects = preloaded;
-  m.stats = pipeline.Collect();
-  return m;
 }
 
 }  // namespace dido

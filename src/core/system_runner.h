@@ -6,7 +6,6 @@
 
 #include "core/dido_store.h"
 #include "core/megakv_store.h"
-#include "live/live_pipeline.h"
 
 namespace dido {
 
@@ -15,14 +14,16 @@ namespace dido {
 // "as full as possible" state, runs the pipeline to steady state, and
 // reports the measurements each figure needs.
 
+// Fixed settings of every experiment.
+inline constexpr int kWarmupBatches = 6;  // adaptation settle time (DIDO)
+inline constexpr uint64_t kWorkloadSeed = 1;
+inline constexpr double kPreloadFraction = 0.80;  // of the arena's capacity
+
 struct ExperimentOptions {
   size_t arena_bytes = 48ull << 20;   // key-value memory per store
   Micros latency_cap_us = 1000.0;     // paper default
   Micros interval_us = 0.0;           // explicit per-stage interval override
-  int warmup_batches = 6;             // adaptation settle time (DIDO)
   int measure_batches = 5;
-  uint64_t workload_seed = 1;
-  double preload_fraction = 0.80;     // of the arena's object capacity
   bool work_stealing = true;          // DIDO work stealing
   bool adaptive = true;               // DIDO cost-model adaptation
   uint64_t noise_seed = 42;
@@ -80,26 +81,6 @@ SystemMeasurement MeasureMegaKvCoupled(const WorkloadSpec& workload,
 SystemMeasurement MeasureFixedConfig(const WorkloadSpec& workload,
                                      const PipelineConfig& config,
                                      const ExperimentOptions& experiment);
-
-// Wall-clock live-pipeline measurement (real OS threads, LivePipeline):
-// numbers reflect the host machine, not the simulated APU.  The stats carry
-// the degradation block — sheds, retries, failovers, error responses —
-// which is what live robustness runs are after.
-struct LiveMeasurement {
-  std::string workload;
-  std::string config;
-  uint64_t preloaded_objects = 0;
-  LivePipeline::Stats stats;
-};
-
-// Builds a runtime sized by `experiment`, preloads it, serves `workload`
-// through a LivePipeline under `config` for `serve_millis` of wall time,
-// and collects the stats.
-LiveMeasurement MeasureLive(const WorkloadSpec& workload,
-                            const PipelineConfig& config,
-                            const ExperimentOptions& experiment,
-                            const LivePipeline::Options& live_options,
-                            int serve_millis);
 
 }  // namespace dido
 

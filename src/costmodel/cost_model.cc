@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "pipeline/work_stealing.h"
 
 namespace dido {
 namespace {
@@ -164,9 +165,9 @@ Prediction CostModel::PredictAtBatchSize(const PipelineConfig& config,
         const Micros thief_time =
             StageTimeNoInterference(thief_stage, profile, config, timing_,
                                     flags) /
-            std::max(0.05, options_.steal_efficiency);
+            kStealEfficiency;
         const Micros after = Eq3StealTime(
-            bot.time_us, thief_busy + options_.steal_setup_us, thief_time);
+            bot.time_us, thief_busy + kStealSetupUs, thief_time);
         if (after < bot.time_us) {
           prediction.stolen_queries = static_cast<uint64_t>(
               static_cast<double>(n) * (bot.time_us - after) /
@@ -198,10 +199,8 @@ Prediction CostModel::Predict(const PipelineConfig& config,
   for (int iter = 0; iter < 8; ++iter) {
     if (prediction.t_max <= 0.0) break;
     const double scale = interval_us / prediction.t_max;
-    uint64_t next =
-        static_cast<uint64_t>(static_cast<double>(n) * scale);
-    next = std::clamp<uint64_t>(next - next % 64, options_.min_batch,
-                                options_.max_batch);
+    const uint64_t next =
+        ClampBatchSize(static_cast<uint64_t>(static_cast<double>(n) * scale));
     if (next == n) break;
     n = next;
     prediction = PredictAtBatchSize(config, profile, n);

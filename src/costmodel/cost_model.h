@@ -28,12 +28,6 @@ struct CostModelOptions {
   // paper does; disabling removes interference from predictions entirely.
   bool use_interference_grid = true;
   int interference_grid_resolution = 8;
-  // Eq. 3 work-stealing estimation.
-  Micros steal_setup_us = 1.5;
-  double steal_efficiency = 0.75;  // thief slowdown vs native execution
-
-  uint64_t min_batch = 64;
-  uint64_t max_batch = 1 << 17;
 };
 
 // Analytic throughput prediction for one configuration.

@@ -11,6 +11,13 @@ namespace {
 // Below this estimated theta a workload is treated as uniform.
 constexpr double kUniformThreshold = 0.25;
 
+// Paper: "the upper limit for the alteration of workload counters is set to
+// 10%".
+constexpr double kReplanThreshold = 0.10;
+
+// EWMA weight of the newest skew estimate.
+constexpr double kSkewEwmaAlpha = 0.5;
+
 }  // namespace
 
 double SkewEstimator::ExpectedMeanCount(double theta, uint64_t epoch_accesses,
@@ -69,8 +76,8 @@ void WorkloadProfiler::FinalizeEpoch() {
       skew_estimate_ = theta;
       skew_valid_ = true;
     } else {
-      skew_estimate_ = options_.skew_ewma_alpha * theta +
-                       (1.0 - options_.skew_ewma_alpha) * skew_estimate_;
+      skew_estimate_ =
+          kSkewEwmaAlpha * theta + (1.0 - kSkewEwmaAlpha) * skew_estimate_;
     }
   }
   epoch_freq_stats_.Reset();
@@ -95,7 +102,7 @@ bool WorkloadProfiler::ShouldReplan() const {
 
   auto drifted = [this](double now, double planned) {
     const double base = std::max(std::fabs(planned), 1e-9);
-    return std::fabs(now - planned) / base > options_.replan_threshold;
+    return std::fabs(now - planned) / base > kReplanThreshold;
   };
   if (drifted(estimate.get_ratio, planned_.get_ratio)) return true;
   if (drifted(estimate.avg_key_bytes, planned_.avg_key_bytes)) return true;

@@ -39,13 +39,8 @@ class SkewEstimator {
 class WorkloadProfiler {
  public:
   struct Options {
-    // Paper: "the upper limit for the alteration of workload counters is
-    // set to 10%".
-    double replan_threshold = 0.10;
     // Batches per sampling epoch (epoch length controls skew resolution).
     int batches_per_epoch = 4;
-    // EWMA weight of the newest skew estimate.
-    double skew_ewma_alpha = 0.5;
   };
 
   WorkloadProfiler() : WorkloadProfiler(Options()) {}
@@ -61,7 +56,7 @@ class WorkloadProfiler {
   WorkloadProfileData Estimate() const;
 
   // True when the tracked counters (GET ratio, key/value size, skew) have
-  // drifted more than replan_threshold since MarkPlanned().
+  // drifted more than 10% since MarkPlanned().
   bool ShouldReplan() const;
   void MarkPlanned();
 

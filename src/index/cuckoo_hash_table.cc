@@ -12,6 +12,9 @@
 namespace dido {
 namespace {
 
+// Cuckoo path bound of one insert before it reports kCapacityFull.
+constexpr int kMaxDisplacements = 512;
+
 Random& ThreadRng() {
   thread_local Random rng(0xD1D0);
   return rng;
@@ -115,9 +118,9 @@ KvObject* CuckooHashTable::SearchVerified(uint64_t hash, std::string_view key,
 Status CuckooHashTable::MakeRoom(uint64_t b1, uint64_t b2, uint64_t* out_bucket,
                                  int* out_slot, uint64_t* displacements) {
   // Random-walk displacement starting from b1.  Each step moves one entry to
-  // its alternate bucket; progress is bounded by max_displacements.
+  // its alternate bucket; progress is bounded by kMaxDisplacements.
   uint64_t bucket = b1;
-  int budget = options_.max_displacements;
+  int budget = kMaxDisplacements;
   (void)b2;
 
   // Recursive lambda: frees a slot in `bucket`, returns its index or -1.

@@ -37,7 +37,6 @@ class CuckooHashTable {
  public:
   struct Options {
     uint64_t num_buckets = 1 << 16;  // rounded up to a power of two
-    int max_displacements = 512;     // cuckoo path bound before kCapacityFull
   };
 
   static constexpr int kSlotsPerBucket = 8;

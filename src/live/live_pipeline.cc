@@ -110,10 +110,8 @@ LivePipeline::LivePipeline(KvRuntime* runtime, const PipelineConfig& config,
     : runtime_(runtime), config_(config), options_(options) {
   DIDO_CHECK(runtime != nullptr);
   DIDO_CHECK(config.Valid()) << config.ToString();
-  DIDO_CHECK(options.degraded_config.Valid())
-      << options.degraded_config.ToString();
   stages_ = config_.Stages(4);
-  degraded_stages_ = options_.degraded_config.Stages(4);
+  degraded_stages_ = PipelineConfig::CpuOnly().Stages(4);
   stage_metrics_.resize(stages_.size());
   SetupObservability();
 }
@@ -429,7 +427,7 @@ void LivePipeline::IngressLoop(TrafficSource* source) {
       // Inline, retire inline: a single-stage pipeline's one stage, or,
       // failed over, the whole degraded CPU-only chain, bypassing the
       // stalled stage graph.
-      if (degraded) batch->config = options_.degraded_config;
+      if (degraded) batch->config = PipelineConfig::CpuOnly();
       ExecuteStage(0, degraded, batch.get(), ingest_start, trace_start);
       RetireAndCount(batch.get(), degraded);
       RecycleBatch(std::move(batch));

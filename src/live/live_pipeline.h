@@ -82,7 +82,7 @@ struct DegradationStats {
 //  - A watchdog thread samples per-stage heartbeats.  A stage that stays
 //    busy without a heartbeat for `stall_threshold_ms` triggers failover:
 //    the ingress thread stops feeding the stalled stage graph and executes
-//    batches inline under `degraded_config` (CPU-only, single stage).  Once
+//    batches inline under PipelineConfig::CpuOnly() (single stage).  Once
 //    every stage has been idle with empty queues for `repromote_dwell_ms`,
 //    the pipeline re-promotes to the configured topology.
 //  - Admission control: when the first inter-stage queue stays full past
@@ -110,8 +110,6 @@ class LivePipeline {
     // Admission-control timeout for space in the first inter-stage queue;
     // 0 blocks forever (no shedding).
     uint64_t admission_timeout_ms = 500;
-    // Configuration the watchdog fails over to.
-    PipelineConfig degraded_config = PipelineConfig::CpuOnly();
 
     // When set, retired batches' response frames are pushed to this bounded
     // ring (simulating the TX ring SD feeds) instead of being retained via

@@ -7,11 +7,16 @@
 #include "common/logging.h"
 
 namespace dido {
+namespace {
+
+// Size-class spacing: each class's chunk is twice the previous one's.
+constexpr size_t kGrowthFactor = 2;
+
+}  // namespace
 
 SlabAllocator::SlabAllocator(const Options& options)
     : options_(options), arena_(options.arena_bytes + kStaleReadSlackBytes) {
   DIDO_CHECK_GE(options_.page_bytes, options_.min_chunk_bytes);
-  DIDO_CHECK_GT(options_.growth_factor, 1.0);
   // Build size classes from min_chunk_bytes up to page_bytes.
   size_t chunk = options_.min_chunk_bytes;
   while (chunk <= options_.page_bytes) {
@@ -19,9 +24,7 @@ SlabAllocator::SlabAllocator(const Options& options)
     cls.chunk_bytes = chunk;
     cls.chunks_per_page = options_.page_bytes / chunk;
     classes_.push_back(std::move(cls));
-    const size_t next = static_cast<size_t>(
-        static_cast<double>(chunk) * options_.growth_factor);
-    chunk = std::max(next, chunk + 8);
+    chunk = std::max(chunk * kGrowthFactor, chunk + 8);
   }
   DIDO_CHECK_GT(classes_.size(), 0u);
 }

@@ -16,7 +16,7 @@ namespace dido {
 // memcached-style slab allocator with per-class CLOCK eviction.
 //
 // A fixed arena is carved into pages; pages are assigned on demand to size
-// classes growing by a constant factor.  Each class keeps a free list, the
+// classes growing by a factor of two.  Each class keeps a free list, the
 // list of its pages and a CLOCK hand (MemC3's approximate LRU).  A GET hit
 // sets the object's reference bit with one relaxed store and no lock.  When
 // the arena is exhausted and the class has no free chunk, the hand walks
@@ -30,7 +30,6 @@ class SlabAllocator {
     size_t arena_bytes = 64ull << 20;   // total key-value memory
     size_t page_bytes = 1ull << 20;     // slab page granularity
     size_t min_chunk_bytes = 64;        // smallest size class
-    double growth_factor = 2.0;         // size-class spacing
   };
 
   struct ClassStats {

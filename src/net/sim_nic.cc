@@ -129,16 +129,4 @@ size_t TrafficSource::FillFrame(Frame* frame, std::vector<Query>* queries_out) {
   return packed;
 }
 
-size_t TrafficSource::Generate(size_t num_queries, FrameRing* ring) {
-  size_t frames = 0;
-  size_t generated = 0;
-  while (generated < num_queries) {
-    Frame frame;
-    generated += FillFrame(&frame, nullptr);
-    ring->Push(std::move(frame));
-    ++frames;
-  }
-  return frames;
-}
-
 }  // namespace dido

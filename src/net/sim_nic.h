@@ -99,10 +99,6 @@ class TrafficSource {
   // queries packed.  Out-params may be null.
   size_t FillFrame(Frame* frame, std::vector<Query>* queries_out);
 
-  // Convenience: generates exactly `num_queries` queries into frames pushed
-  // onto `ring`.  Returns the number of frames produced.
-  size_t Generate(size_t num_queries, FrameRing* ring);
-
  private:
   WorkloadGenerator* generator_;
   std::vector<uint8_t> key_buffer_;
@@ -110,21 +106,6 @@ class TrafficSource {
   uint32_t version_ = 0;
   bool has_pending_ = false;
   Query pending_{};
-};
-
-// Simulated NIC: an RX ring filled by a TrafficSource and a TX ring drained
-// by an (optional) response validator.
-class SimNic {
- public:
-  explicit SimNic(size_t ring_capacity = 4096)
-      : rx_(ring_capacity), tx_(ring_capacity) {}
-
-  FrameRing& rx() { return rx_; }
-  FrameRing& tx() { return tx_; }
-
- private:
-  FrameRing rx_;
-  FrameRing tx_;
 };
 
 }  // namespace dido

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/tally_shards.h"
 #include "common/thread_annotations.h"
 
 namespace dido {
@@ -70,10 +71,13 @@ class Counter {
       (void)n;
       return;
     }
+    // Shard by the thread's dense id: threads share a line only once more
+    // than kShards of them count.
+    Shard& shard = shards_[ThreadShardId::Get() % kShards];
     // relaxed: monotone statistic; readers only ever need an eventually-
     // consistent sum, nothing is ordered against the counted event.
     // dido-analyze: allow(hot): on this thread's own shard line.
-    shards_[ShardIndex()].value.fetch_add(n, std::memory_order_relaxed);
+    shard.value.fetch_add(n, std::memory_order_relaxed);
   }
 
   uint64_t Value() const {
@@ -90,18 +94,6 @@ class Counter {
   struct alignas(64) Shard {
     std::atomic<uint64_t> value{0};
   };
-
-  // Threads are striped round-robin across shards on first use; the mapping
-  // is stable for a thread's lifetime.
-  static size_t ShardIndex() {
-    // relaxed: the stripe assignment only needs to be unique-ish, it orders
-    // nothing.
-    static std::atomic<size_t> next_stripe{0};
-    // Runs once per thread, on first use.
-    thread_local const size_t stripe =
-        next_stripe.fetch_add(1, std::memory_order_relaxed);
-    return stripe % kShards;
-  }
 
   std::array<Shard, kShards> shards_;
 };

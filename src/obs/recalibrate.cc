@@ -18,6 +18,20 @@ namespace {
 // below the durability lane (99).
 constexpr uint32_t kCalibrationTraceLane = 98;
 
+// Below this many samples a device is left untouched by the fit.
+constexpr size_t kMinSamples = 24;
+// A fit commits only when some |ratio - 1| exceeds this.
+constexpr double kHysteresis = 0.04;
+// Largest relative scale change of one commit.
+constexpr double kMaxStep = 0.25;
+// Lower bound of the fitted scales (Options::max_scale is the upper one).
+constexpr double kMinScale = 0.25;
+// Batches ignored after a commit.
+constexpr uint64_t kQuietDwellBatches = 12;
+// A committed relative scale change beyond this requests a replan.
+constexpr double kReplanThreshold = 0.10;
+static_assert(kMaxStep > 0.0 && kMinScale > 0.0);
+
 double MeanAbsRelError(const std::deque<double>& predicted,
                        const std::deque<double>& observed, double ratio) {
   if (predicted.empty()) return 0.0;
@@ -34,9 +48,7 @@ double MeanAbsRelError(const std::deque<double>& predicted,
 OnlineCalibrator::OnlineCalibrator(const Options& options)
     : options_(options) {
   DIDO_CHECK_GT(options_.window, 0u);
-  DIDO_CHECK_GT(options_.max_step, 0.0);
-  DIDO_CHECK_GT(options_.min_scale, 0.0);
-  DIDO_CHECK_GT(options_.max_scale, options_.min_scale);
+  DIDO_CHECK_GT(options_.max_scale, kMinScale);
 }
 
 void OnlineCalibrator::AttachObservability(MetricsRegistry* metrics,
@@ -99,7 +111,7 @@ void OnlineCalibrator::ObserveStage(Device device, double predicted_us,
 }
 
 double OnlineCalibrator::FitRatio(const DeviceWindow& window) const {
-  if (window.predicted.size() < options_.min_samples) return 1.0;
+  if (window.predicted.size() < kMinSamples) return 1.0;
   double pp = 0.0;
   double po = 0.0;
   for (size_t i = 0; i < window.predicted.size(); ++i) {
@@ -155,7 +167,7 @@ bool OnlineCalibrator::EndBatch() {
 
     const double shift =
         std::max(std::fabs(cpu_ratio - 1.0), std::fabs(gpu_ratio - 1.0));
-    if (shift <= options_.hysteresis) {
+    if (shift <= kHysteresis) {
       if (held_fits_counter_ != nullptr) held_fits_counter_->Add();
       return false;
     }
@@ -164,11 +176,9 @@ bool OnlineCalibrator::EndBatch() {
     // bound the result.
     bool clamped = false;
     auto step = [&](double old_scale, double ratio) {
-      double r = std::clamp(ratio, 1.0 - options_.max_step,
-                            1.0 + options_.max_step);
+      double r = std::clamp(ratio, 1.0 - kMaxStep, 1.0 + kMaxStep);
       if (r != ratio) clamped = true;
-      double scale =
-          std::clamp(old_scale * r, options_.min_scale, options_.max_scale);
+      double scale = std::clamp(old_scale * r, kMinScale, options_.max_scale);
       if (scale != old_scale * r) clamped = true;
       return scale;
     };
@@ -180,10 +190,10 @@ bool OnlineCalibrator::EndBatch() {
     overlay_.cpu_scale = new_cpu;
     overlay_.gpu_scale = new_gpu;
     overlay_.generation += 1;
-    if (relative_change > options_.replan_threshold) replan_requested_ = true;
+    if (relative_change > kReplanThreshold) replan_requested_ = true;
     cpu_ = DeviceWindow();
     gpu_ = DeviceWindow();
-    dwell_remaining_ = options_.quiet_dwell_batches;
+    dwell_remaining_ = kQuietDwellBatches;
     PublishOverlay();
     if (commits_counter_ != nullptr) commits_counter_->Add();
     if (clamped && clamped_steps_counter_ != nullptr) {

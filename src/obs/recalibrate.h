@@ -37,13 +37,14 @@ class TraceCollector;
 // Stability (calibration must never flap under the executor's per-batch
 // noise):
 //  * hysteresis  — a fit is committed only when some device's ratio moves
-//                  more than `hysteresis` away from 1;
-//  * step clamp  — one commit changes a scale by at most `max_step`
-//                  relative (a 3x drift is absorbed over several windows);
-//  * bounds      — scales live in [min_scale, max_scale] always;
-//  * quiet dwell — after a commit, `quiet_dwell_batches` batches are
-//                  dropped: their predictions were made under the old
-//                  overlay and would immediately re-trigger the fit.
+//                  more than 4% away from 1;
+//  * step clamp  — one commit changes a scale by at most 25% relative (a
+//                  3x drift is absorbed over several windows);
+//  * bounds      — scales live in [0.25, max_scale] always;
+//  * quiet dwell — after a commit, 12 batches are dropped: their
+//                  predictions were made under the old overlay and would
+//                  immediately re-trigger the fit.
+// The fixed values are named constants in recalibrate.cc.
 //
 // Thread safety: ObserveStage/EndBatch/overlay()/TakeReplanRequest are safe
 // from any thread (one mutex; the math is a handful of multiply-adds per
@@ -55,17 +56,7 @@ class OnlineCalibrator {
     // Residual samples per device per fit attempt; fits are attempted at
     // batch granularity once a device's window is full.
     size_t window = 48;
-    // Below this many samples a device is left untouched by the fit.
-    size_t min_samples = 24;
-    double hysteresis = 0.04;   // commit only when |ratio - 1| exceeds this
-    double max_step = 0.25;     // max relative scale change per commit
-    double min_scale = 0.25;    // hard bounds of the fitted scales
-    double max_scale = 4.0;
-    uint64_t quiet_dwell_batches = 12;  // batches ignored after a commit
-    // A committed shift whose relative scale change exceeds this flags a
-    // replan request (picked up by DidoStore::MaybeAdapt next batch) —
-    // mirrors WorkloadProfiler's 10% workload-drift trigger.
-    double replan_threshold = 0.10;
+    double max_scale = 4.0;  // upper bound of the fitted scales
     // Invoked (lock released) after every committed generation; the sim
     // path uses this to push the overlay into its CostModel.
     std::function<void(const CalibrationOverlay&)> on_commit;
@@ -95,7 +86,9 @@ class OnlineCalibrator {
   CalibrationOverlay overlay() const DIDO_EXCLUDES(mu_);
   uint64_t generation() const { return overlay().generation; }
 
-  // True once per committed shift beyond replan_threshold; the caller owns
+  // True once per committed shift beyond the replan threshold (a relative
+  // scale change over 10%, mirroring WorkloadProfiler's workload-drift
+  // trigger); DidoStore::MaybeAdapt picks it up next batch.  The caller owns
   // acting on it (the planner re-ranks pipeline cuts under the new scales).
   bool TakeReplanRequest() DIDO_EXCLUDES(mu_);
 

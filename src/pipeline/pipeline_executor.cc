@@ -397,7 +397,7 @@ void PipelineExecutor::ApplyWorkStealing(const PipelineConfig& config,
     }
   }
   if (!thief_exists) return;
-  thief_start += options_.steal_setup_us;
+  thief_start += kStealSetupUs;
 
   // Split the bottleneck stage's stealable work at chunk granularity.
   double eligible_us = 0.0;
@@ -427,13 +427,13 @@ void PipelineExecutor::ApplyWorkStealing(const PipelineConfig& config,
   thief_stage.cpu_cores = spec_.cpu.cores;
   const double thief_total_us =
       StageTimeNoInterference(thief_stage, profile, config, timing_) /
-      std::max(0.05, options_.steal_efficiency);
+      kStealEfficiency;
   const double thief_chunk_us =
       thief_total_us / static_cast<double>(chunks);
 
   const StealSplit split =
       SolveStealSplit(chunks, owner_chunk_us, residual_us, thief_start,
-                      thief_chunk_us, options_.steal_sync_us);
+                      thief_chunk_us, kStealSyncUs);
   if (split.thief_chunks == 0) return;
 
   bot.time_after_steal_us = split.finish_us;
@@ -454,10 +454,8 @@ PipelineExecutor::SteadyState PipelineExecutor::RunSteadyState(
     probe = RunBatch(config, source, batch_size);
     if (probe.t_max <= 0.0) break;
     const double scale = interval / probe.t_max;
-    uint64_t next = static_cast<uint64_t>(
-        static_cast<double>(probe.batch_size) * scale);
-    next = std::clamp<uint64_t>(next - next % 64, options_.min_batch,
-                                options_.max_batch);
+    const uint64_t next = ClampBatchSize(static_cast<uint64_t>(
+        static_cast<double>(probe.batch_size) * scale));
     if (next == batch_size || std::fabs(scale - 1.0) < 0.04) {
       batch_size = next;
       break;

@@ -35,15 +35,6 @@ struct ExecutorOptions {
   double noise_amplitude = 0.08;  // per-batch timing jitter
   uint64_t noise_seed = 42;
   bool model_interference = true;
-
-  uint64_t min_batch = 64;
-  uint64_t max_batch = 1 << 17;
-
-  Micros steal_sync_us = 0.08;  // tag CAS handshake per stolen chunk
-  Micros steal_setup_us = 1.5;  // one-time coordination per batch
-  // Relative speed of a thief running a stolen chunk vs. the owner running
-  // it natively (cold caches, divergence, repeated dispatch).
-  double steal_efficiency = 0.75;
 };
 
 // Time charged to one task of one stage (drives Fig. 4 and Fig. 6).

@@ -1,6 +1,7 @@
 #ifndef DIDO_PIPELINE_WORK_STEALING_H_
 #define DIDO_PIPELINE_WORK_STEALING_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -46,6 +47,27 @@ class StealTagArray {
   std::atomic<uint64_t> claimed_cpu_{0};
   std::atomic<uint64_t> claimed_gpu_{0};
 };
+
+// Steal costs, shared by the cost model's Eq. 3 estimate and the
+// simulator's chunk split (PipelineExecutor::ApplyWorkStealing), so both
+// price a steal alike.
+inline constexpr Micros kStealSetupUs = 1.5;  // one-time coordination per batch
+inline constexpr Micros kStealSyncUs = 0.08;  // tag CAS handshake per chunk
+// Relative speed of a thief running a stolen chunk vs. the owner running it
+// natively (cold caches, divergence, repeated dispatch).
+inline constexpr double kStealEfficiency = 0.75;
+
+// Bounds of the batch size that fills a scheduling interval, in both the
+// cost model's and the simulator's search.
+inline constexpr uint64_t kMinBatch = 64;
+inline constexpr uint64_t kMaxBatch = 1 << 17;
+
+// A candidate batch size rounded down to whole steal chunks and clamped to
+// [kMinBatch, kMaxBatch].
+inline uint64_t ClampBatchSize(uint64_t queries) {
+  return std::clamp<uint64_t>(
+      queries - queries % StealTagArray::kChunkQueries, kMinBatch, kMaxBatch);
+}
 
 // Closed-form chunk split for the timing simulation, the discrete
 // counterpart of the paper's Equation 3.  The owner device processes the

@@ -33,8 +33,6 @@ struct DeviceSpec {
   // line traffic can never run faster than this, no matter how well
   // latency is hidden.
   double stream_bandwidth_gbps = 12.0;
-
-  double CyclesToUs(double cycles) const { return cycles / (freq_ghz * 1e3); }
 };
 
 // Online-calibration overlay (DESIGN.md §12): bounded per-device multipliers

@@ -5,6 +5,9 @@
 namespace dido {
 namespace {
 
+// Retire() attempts an epoch advance every this-many retirements.
+constexpr uint64_t kRetiresPerScan = 64;
+
 // Thread-local bindings from manager identity to participation slot.  The
 // identity is a process-unique id (not the manager address) so a binding
 // left behind by an exited manager can never be confused with a new
@@ -27,7 +30,6 @@ EpochManager::EpochManager(const Options& options)
     : options_(options),
       manager_id_(next_manager_id.fetch_add(1, std::memory_order_relaxed)) {
   DIDO_CHECK_GT(options_.max_threads, 0u);
-  DIDO_CHECK_GT(options_.retires_per_scan, 0u);
   slots_ = std::make_unique<Slot[]>(options_.max_threads);
   for (uint64_t g = 0; g < kGenerations; ++g) {
     shared_pins_[g].store(0, std::memory_order_seq_cst);
@@ -162,7 +164,7 @@ void EpochManager::Retire(void* ptr, Deleter deleter, void* ctx) {
   // pin state with seq_cst under reclaim_mu_.
   // dido-analyze: allow(hot): retirement slow path (see the lock note).
   const uint64_t count = retired_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (count % options_.retires_per_scan == 0) TryReclaim();
+  if (count % kRetiresPerScan == 0) TryReclaim();
 }
 
 bool EpochManager::CanAdvance(uint64_t epoch) const {
@@ -210,7 +212,7 @@ size_t EpochManager::AdvanceAndDrainLocked() {
 
 size_t EpochManager::TryReclaim() {
   // dido-analyze: allow(hot): single-reclaimer gate for the amortized
-  // scan Retire triggers every retires_per_scan retirements; stage
+  // scan Retire triggers every kRetiresPerScan retirements; stage
   // kernels hit it on the reclamation slow path only.
   MutexLock lock(reclaim_mu_);
   return AdvanceAndDrainLocked();

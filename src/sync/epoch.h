@@ -60,8 +60,6 @@ class EpochManager {
     // Participation slots for registered threads.  Threads beyond this
     // count (or never registered) transparently use the shared-pin path.
     size_t max_threads = 64;
-    // Retire() attempts an epoch advance every this-many retirements.
-    uint64_t retires_per_scan = 64;
   };
 
   // Aggregate statistics snapshot (see stats()).

@@ -143,23 +143,4 @@ double WorkloadGenerator::TopFraction(uint64_t top_k) const {
   return zipf_.TopFraction(top_k);
 }
 
-WorkloadAlternator::WorkloadAlternator(WorkloadSpec a, WorkloadSpec b,
-                                       double cycle_us, uint64_t num_objects,
-                                       uint64_t seed)
-    : cycle_us_(cycle_us),
-      gen_a_(std::move(a), num_objects, seed),
-      gen_b_(std::move(b), num_objects, seed + 1) {
-  DIDO_CHECK_GT(cycle_us, 0.0);
-}
-
-WorkloadGenerator& WorkloadAlternator::ActiveAt(double now_us) {
-  const double phase = now_us / cycle_us_;
-  const bool in_a = (static_cast<uint64_t>(phase) % 2) == 0;
-  return in_a ? gen_a_ : gen_b_;
-}
-
-const WorkloadSpec& WorkloadAlternator::active_spec_at(double now_us) {
-  return ActiveAt(now_us).spec();
-}
-
 }  // namespace dido

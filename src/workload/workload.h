@@ -106,25 +106,6 @@ class WorkloadGenerator {
   ZipfGenerator zipf_;
 };
 
-// Alternates between two workloads with a fixed cycle, used by the Fig. 20
-// timeline and the Fig. 21 fluctuation stress test.
-class WorkloadAlternator {
- public:
-  WorkloadAlternator(WorkloadSpec a, WorkloadSpec b, double cycle_us,
-                     uint64_t num_objects, uint64_t seed = 1);
-
-  // Returns the generator active at simulated time `now_us`.  The first
-  // half-cycle runs workload A, the second workload B, and so on.
-  WorkloadGenerator& ActiveAt(double now_us);
-
-  const WorkloadSpec& active_spec_at(double now_us);
-
- private:
-  double cycle_us_;
-  WorkloadGenerator gen_a_;
-  WorkloadGenerator gen_b_;
-};
-
 }  // namespace dido
 
 #endif  // DIDO_WORKLOAD_WORKLOAD_H_

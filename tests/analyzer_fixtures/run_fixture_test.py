@@ -47,6 +47,7 @@ EXPECTED_BAD = [
     ("hot_impure.cc:22", "[hot]"),            # inside a function template
     ("hot_shared.cc:8", "[hot]"),             # per-op shared atomic counter
     ("hot_member_call.cc:24", "[hot]"),       # lock behind a typed member call
+    ("hot_param_call.cc:21", "[hot]"),        # lock behind a typed param call
     ("own_leak.cc:11", "[own]"),              # early return before any sink
     ("own_leak.cc:18", "[own]"),              # discarded owned result
     ("dur_log_leak.cc:12", "[own]"),          # leaked oplog record
@@ -54,7 +55,7 @@ EXPECTED_BAD = [
     ("dur_recovery_drop.cc:14", "[resp]"),    # unaccounted recovery exit
     ("memorder_bare.cc:9", "[memorder]"),     # unjustified relaxed downgrade
 ]
-EXPECTED_BAD_COUNT = 19
+EXPECTED_BAD_COUNT = 20
 
 
 def main():

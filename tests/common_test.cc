@@ -1,4 +1,4 @@
-// Unit tests for src/common: Status/Result, Random, Zipf, Hash, Histogram,
+// Unit tests for src/common: Status/Result, Random, Zipf, Hash,
 // RunningStats, MappedRegion, TallyShards.
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 
 #include "common/crc32c.h"
 #include "common/hash.h"
-#include "common/histogram.h"
 #include "common/logging.h"
 #include "common/mapped_region.h"
 #include "common/random.h"
@@ -311,118 +310,6 @@ TEST(HashTest, Mix64IsBijectiveish) {
   std::set<uint64_t> out;
   for (uint64_t i = 0; i < 10000; ++i) out.insert(Mix64(i));
   EXPECT_EQ(out.size(), 10000u);
-}
-
-// ------------------------------------------------------------- Histogram --
-
-TEST(HistogramTest, EmptyHistogram) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.Mean(), 0.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.5), 0.0);
-}
-
-TEST(HistogramTest, SingleValue) {
-  Histogram h;
-  h.Add(42.0);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.Mean(), 42.0);
-  EXPECT_NEAR(h.Percentile(0.5), 42.0, 2.0);
-  EXPECT_DOUBLE_EQ(h.min(), 42.0);
-  EXPECT_DOUBLE_EQ(h.max(), 42.0);
-}
-
-TEST(HistogramTest, PercentilesOrdered) {
-  Histogram h;
-  Random rng(1);
-  for (int i = 0; i < 100000; ++i) h.Add(1.0 + rng.NextDouble() * 999.0);
-  const double p50 = h.Percentile(0.50);
-  const double p95 = h.Percentile(0.95);
-  const double p99 = h.Percentile(0.99);
-  EXPECT_LT(p50, p95);
-  EXPECT_LT(p95, p99);
-  EXPECT_NEAR(p50, 500.0, 50.0);
-  EXPECT_NEAR(p95, 950.0, 60.0);
-}
-
-TEST(HistogramTest, MergeCombinesCounts) {
-  Histogram a;
-  Histogram b;
-  for (int i = 0; i < 100; ++i) a.Add(10.0);
-  for (int i = 0; i < 100; ++i) b.Add(1000.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 200u);
-  EXPECT_DOUBLE_EQ(a.min(), 10.0);
-  EXPECT_DOUBLE_EQ(a.max(), 1000.0);
-  EXPECT_NEAR(a.Mean(), 505.0, 1e-9);
-}
-
-TEST(HistogramTest, MergeWithEmptyIsIdentity) {
-  Histogram a;
-  for (double x : {5.0, 10.0, 20.0}) a.Add(x);
-  const double p50_before = a.Percentile(0.5);
-  Histogram empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.min(), 5.0);
-  EXPECT_DOUBLE_EQ(a.max(), 20.0);
-  EXPECT_DOUBLE_EQ(a.Percentile(0.5), p50_before);
-
-  // Merging into an empty histogram adopts the other side's extrema
-  // (the empty side's sentinel infinities must not leak out).
-  Histogram adopted;
-  adopted.Merge(a);
-  EXPECT_EQ(adopted.count(), 3u);
-  EXPECT_DOUBLE_EQ(adopted.min(), 5.0);
-  EXPECT_DOUBLE_EQ(adopted.max(), 20.0);
-
-  // Empty-merge-empty stays empty and keeps reporting zeros.
-  Histogram e1;
-  Histogram e2;
-  e1.Merge(e2);
-  EXPECT_EQ(e1.count(), 0u);
-  EXPECT_DOUBLE_EQ(e1.min(), 0.0);
-  EXPECT_DOUBLE_EQ(e1.max(), 0.0);
-  EXPECT_DOUBLE_EQ(e1.Percentile(0.99), 0.0);
-}
-
-TEST(HistogramTest, SingleBucketQuantileEdges) {
-  // All mass in one bucket: every quantile must interpolate inside
-  // [min, max] of that bucket — in particular the q=0 and q=1 edges.
-  Histogram h;
-  for (int i = 0; i < 1000; ++i) h.Add(77.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.0), 77.0);
-  EXPECT_GE(h.Percentile(0.5), 77.0 * 0.99);
-  EXPECT_LE(h.Percentile(0.5), 77.0 * 1.01);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 77.0);
-  // Out-of-range q clamps rather than reading outside the bucket array.
-  EXPECT_DOUBLE_EQ(h.Percentile(-0.5), h.Percentile(0.0));
-  EXPECT_DOUBLE_EQ(h.Percentile(1.5), h.Percentile(1.0));
-}
-
-TEST(HistogramTest, MergeThenQuantilesMatchCombinedStream) {
-  // Quantiles of a merged histogram must equal quantiles of one histogram
-  // fed the concatenated stream (merge is exact, not approximate).
-  Random rng(23);
-  Histogram combined;
-  Histogram left;
-  Histogram right;
-  for (int i = 0; i < 20000; ++i) {
-    const double x = 1.0 + rng.NextDouble() * 500.0;
-    combined.Add(x);
-    (i % 2 == 0 ? left : right).Add(x);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), combined.count());
-  for (double q : {0.1, 0.5, 0.9, 0.99}) {
-    EXPECT_DOUBLE_EQ(left.Percentile(q), combined.Percentile(q)) << q;
-  }
-}
-
-TEST(HistogramTest, SummaryMentionsCount) {
-  Histogram h;
-  h.Add(1.0);
-  EXPECT_NE(h.Summary().find("count=1"), std::string::npos);
 }
 
 // ---------------------------------------------------------- RunningStats --

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "live/live_pipeline.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace dido {
@@ -277,6 +278,55 @@ TEST(LivePipelineTest, CpuOnlyTraceNestsTasksInTheirStage) {
 
 TEST(LivePipelineTest, MegaKvTraceNestsTasksInTheirStage) {
   ExpectStageSpansHoldTheirTasks(PipelineConfig::MegaKv());
+}
+
+// The pipeline keeps two books: the dido_live_* counters bumped outside
+// stats_mu_ and the Stats that Collect() reports.  After Stop they must
+// agree exactly.
+TEST(LivePipelineTest, MetricsAgreeWithCollectedStats) {
+  LiveFixture f(MakeWorkload(DatasetK16(), 50, KeyDistribution::kZipf));
+  obs::MetricsRegistry registry;
+  LivePipeline::Options options;
+  options.metrics = &registry;
+  const PipelineConfig config = PipelineConfig::MegaKv();
+  LivePipeline pipeline(f.runtime.get(), config, options);
+  RunFor(pipeline, f.source.get(), 200);
+  const LivePipeline::Stats stats = pipeline.Collect();
+  ASSERT_GT(stats.batches, 0u);
+
+  // Every name below must already be registered: GetCounter would create
+  // a missing one at zero and the comparison would prove nothing.
+  const size_t registered = registry.size();
+  auto total = [&](const std::string& name) {
+    return registry.GetCounter(name)->Value();
+  };
+  const DegradationStats& d = stats.degradation;
+  EXPECT_EQ(total("dido_live_batches_total"), stats.batches);
+  EXPECT_EQ(total("dido_live_queries_total"), stats.queries);
+  EXPECT_EQ(total("dido_live_ingested_queries_total"), d.ingested_queries);
+  EXPECT_EQ(total("dido_live_shed_batches_total"), d.shed_batches);
+  EXPECT_EQ(total("dido_live_shed_queries_total"), d.shed_queries);
+  EXPECT_EQ(total("dido_live_set_retries_total"), d.set_retries);
+  EXPECT_EQ(total("dido_live_error_responses_total"), d.error_responses);
+
+  const std::vector<StageSpec> stages = config.Stages(4);
+  for (size_t i = 0; i < stages.size(); ++i) {
+    const std::string stage = std::to_string(i);
+    const std::string device(DeviceName(stages[i].device));
+    const uint64_t batches =
+        total(obs::MetricName("dido_live_stage_batches_total",
+                              {{"stage", stage}, {"device", device}}));
+    const uint64_t executions =
+        registry
+            .GetHistogram(obs::MetricName("dido_live_stage_execute_us",
+                                          {{"stage", stage},
+                                           {"device", device}}))
+            ->TakeSnapshot()
+            .count;
+    EXPECT_EQ(batches, executions) << "stage " << i;
+    EXPECT_GT(batches, 0u) << "stage " << i;
+  }
+  EXPECT_EQ(registry.size(), registered);
 }
 
 TEST(LivePipelineTest, DoubleStartFailsAndRestartWorks) {

@@ -309,10 +309,15 @@ TEST(TrafficSourceTest, GenerateFillsRing) {
   WorkloadSpec spec = MakeWorkload(DatasetK8(), 95, KeyDistribution::kUniform);
   WorkloadGenerator generator(spec, 10000, 1);
   TrafficSource source(&generator);
-  SimNic nic;
-  const size_t frames = source.Generate(500, &nic.rx());
+  FrameRing ring;
+  size_t frames = 0;
+  for (size_t queries = 0; queries < 500; ++frames) {
+    Frame frame;
+    queries += source.FillFrame(&frame, nullptr);
+    EXPECT_TRUE(ring.Push(std::move(frame)));
+  }
   EXPECT_GT(frames, 0u);
-  EXPECT_EQ(nic.rx().size(), frames);
+  EXPECT_EQ(ring.size(), frames);
 }
 
 }  // namespace

@@ -517,7 +517,7 @@ TEST(ObsRecalibrateTest, StepClampAndBoundsLimitEachCommit) {
   OnlineCalibrator calibrator(options);
   calibrator.AttachObservability(&registry, nullptr);
   // Enough samples for exactly one fit: a 3x drift must be clamped to one
-  // max_step (25%) step.
+  // 25% step (the per-commit clamp).
   DriveSyntheticDrift(&calibrator, static_cast<int>(options.window / 2),
                       1.0, 3.0);
   ASSERT_EQ(calibrator.generation(), 1u);

@@ -145,17 +145,6 @@ TEST(GeneratorTest, ZipfSkewsPopularity) {
   EXPECT_GT(zg.TopFraction(100), 10.0 * ug.TopFraction(100));
 }
 
-TEST(AlternatorTest, SwitchesEveryHalfCycle) {
-  WorkloadSpec a = MakeWorkload(DatasetK8(), 50, KeyDistribution::kUniform);
-  WorkloadSpec b = MakeWorkload(DatasetK16(), 95, KeyDistribution::kZipf);
-  WorkloadAlternator alternator(a, b, /*cycle_us=*/1000.0, 1000, 1);
-  EXPECT_EQ(alternator.active_spec_at(0.0).Name(), a.Name());
-  EXPECT_EQ(alternator.active_spec_at(999.0).Name(), a.Name());
-  EXPECT_EQ(alternator.active_spec_at(1001.0).Name(), b.Name());
-  EXPECT_EQ(alternator.active_spec_at(2001.0).Name(), a.Name());
-  EXPECT_EQ(alternator.active_spec_at(3500.0).Name(), b.Name());
-}
-
 TEST(QueryOpTest, Names) {
   EXPECT_EQ(QueryOpName(QueryOp::kGet), "GET");
   EXPECT_EQ(QueryOpName(QueryOp::kSet), "SET");

@@ -60,10 +60,17 @@ _CALL_EDGE_RE = re.compile(r"\b([A-Za-z_][\w]*)\s*\(")
 
 # What a call edge's name is reached through, matched against the text just
 # before the name: a data member (`index_->Delete(`, `totals_.Add(`; members
-# follow the repo's trailing-underscore convention) or a class
-# (`ThreadShardId::Get(`).  Anything else resolves by name alone.
+# follow the repo's trailing-underscore convention), a class
+# (`ThreadShardId::Get(`) or a plain variable that is not itself reached
+# through another object (`counter->Add(`; typed when it is a parameter).
+# Anything else resolves by name alone.
 _MEMBER_RECEIVER_RE = re.compile(r"\b(\w+_)\s*(?:->|\.)\s*$")
 _CLASS_RECEIVER_RE = re.compile(r"\b([A-Z]\w*)\s*::\s*$")
+_VAR_RECEIVER_RE = re.compile(r"(?<![\w.>:])([a-z]\w*)\s*(?:->|\.)\s*$")
+
+# One declared parameter, its default argument stripped: `Type name` with an
+# optional array suffix.
+_PARAM_DECL_RE = re.compile(r"^(.*?)\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?$")
 
 # Data-member declarations in a class body: `Type name_;`, with any
 # initializer or DIDO_* annotation stripped first.
@@ -132,10 +139,12 @@ class FunctionDef:
         self.callees = set()      # unqualified names of calls in the body
         self.call_lines = {}      # callee name -> set of call-site line_nos
         # callee name -> receivers of its call sites: ("member", "index_"),
-        # ("class", "ThreadShardId"), or None for a bare call.
+        # ("class", "ThreadShardId"), ("var", "counter"), or None for a
+        # bare call.
         self.receivers = {}
         self.markers = set()      # MARKERS present on the definition head
         self._declarator_seen = False
+        self._param_types = None
 
     def add_line(self, line_no, stripped):
         self.body.append((line_no, stripped))
@@ -151,6 +160,13 @@ class FunctionDef:
                 self.call_lines.setdefault(name, set()).add(line_no)
                 self.receivers.setdefault(name, set()).add(
                     _receiver(stripped[:m.start()]))
+
+    def param_types(self):
+        """{parameter name: class name of its declared type} of the head."""
+        if self._param_types is None:
+            head = " ".join(text for _, text in self.body)
+            self._param_types = _param_types(head, self.name)
+        return self._param_types
 
     def statements(self):
         """Yields (first_line_no, text) per `;`/`{`/`}`-terminated statement.
@@ -191,7 +207,52 @@ def _receiver(prefix):
     m = _CLASS_RECEIVER_RE.search(prefix)
     if m:
         return ("class", m.group(1))
+    m = _VAR_RECEIVER_RE.search(prefix)
+    if m:
+        return ("var", m.group(1))
     return None
+
+
+def _param_types(head, name):
+    """Parameter name -> declared class name, from a definition's head.
+
+    `void Bump(obs::Counter* counter, uint64_t n = 1)` ->
+    {"counter": "Counter", "n": "uint64_t"}.  Unnamed parameters are
+    skipped.
+    """
+    m = re.search(rf"\b{re.escape(name)}\s*\(", head)
+    if m is None:
+        return {}
+    # Parentheses find the end of the list; angle brackets only keep a
+    # template argument's commas from splitting a parameter.
+    params, parens, angles, cur = [], 0, 0, []
+    for ch in head[m.end():]:
+        if ch == "(":
+            parens += 1
+        elif ch == ")":
+            if parens == 0:
+                break
+            parens -= 1
+        elif ch == "<":
+            angles += 1
+        elif ch == ">":
+            angles = max(0, angles - 1)
+        if ch == "," and parens == 0 and angles == 0:
+            params.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    params.append("".join(cur))
+    types = {}
+    for param in params:
+        decl = _DIDO_MACRO_RE.sub(" ", param.split("=", 1)[0]).strip()
+        pm = _PARAM_DECL_RE.match(decl)
+        if pm is None or not re.search(r"\w", pm.group(1)):
+            continue
+        typ = _member_type(pm.group(1))
+        if typ is not None:
+            types[pm.group(2)] = typ
+    return types
 
 
 def _member_type(decl):
@@ -240,11 +301,11 @@ class Model:
     def resolve(self, fn, name):
         """The definitions a call to `name` in `fn` may reach.
 
-        A call through a data member of `fn`'s class whose declared type is
-        known, or through an explicit `Class::`, reaches that class's
-        definitions of `name`.  A bare call, a receiver of unknown type, or
-        a type with no in-tree `name` falls back to every definition of
-        `name`.
+        A call through a data member of `fn`'s class or a parameter of `fn`
+        whose declared type is known, or through an explicit `Class::`,
+        reaches that class's definitions of `name`.  A bare call, a
+        receiver of unknown type (a local, say), or a type with no in-tree
+        `name` falls back to every definition of `name`.
         """
         defs = self.by_name.get(name, ())
         members = self.member_types.get(_owner(fn.qual), {})
@@ -253,7 +314,12 @@ class Model:
             typ = None
             if recv is not None:
                 kind, ident = recv
-                typ = ident if kind == "class" else members.get(ident)
+                if kind == "class":
+                    typ = ident
+                elif kind == "member":
+                    typ = members.get(ident)
+                else:
+                    typ = fn.param_types().get(ident)
             typed = [d for d in defs if typ and _owner(d.qual) == typ]
             for d in typed or defs:
                 if d not in found:
@@ -361,7 +427,13 @@ def _parse_file(model, sf):
         names = [s.name for s in scopes if s.kind == "class" and s.name]
         return names[-1] if names else None
 
+    in_directive = False
     for line_no, raw in enumerate(sf.lines, start=1):
+        # Preprocessor lines (and their continuations) are not statements:
+        # an `#endif` must not join the head of the `class X {` after it.
+        if in_directive or raw.lstrip().startswith("#"):
+            in_directive = raw.rstrip().endswith("\\")
+            continue
         stripped = source.strip_comments_and_strings(raw)
         fn = innermost_fn()
         buf = []  # chars of this line attributed to the current fn
